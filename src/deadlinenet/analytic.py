@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import poisson
 
 from .distributions import MinStats, compute_min_stats, mean as dist_mean, sample
 from .errors import InfiniteMeanError, OpennessError
@@ -106,6 +105,16 @@ def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
     return TrafficSolution(alpha=alpha, residual=residual)
 
 
+def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
+    """Poisson(rho) pmf at the integers x >= 0, in log space:
+    exp(x log rho - rho - lgamma(x + 1))."""
+    x = np.asarray(x)
+    if rho == 0:
+        return (x == 0).astype(float)
+    log_fact = np.array([math.lgamma(v + 1.0) for v in x.ravel()]).reshape(x.shape)
+    return np.exp(x * math.log(rho) - rho - log_fact)
+
+
 @dataclass
 class ProductForm:
     """Equilibrium occupancy: independent Poisson(rho[n]) at each node."""
@@ -114,7 +123,7 @@ class ProductForm:
 
     def marginal(self, n: int, x: int) -> float:
         """P(X_n = x)."""
-        return float(poisson.pmf(x, self.rho[n]))
+        return float(_poisson_pmf(x, float(self.rho[n])))
 
     def joint(self, occupancy) -> float:
         """P(X_1 = x_1, ..., X_N = x_N) — the product of the marginals."""
@@ -132,7 +141,7 @@ class ProductForm:
 
     def marginal_pmf(self, n: int) -> np.ndarray:
         """pmf over 0..truncation(n) inclusive."""
-        return poisson.pmf(np.arange(self.truncation(n) + 1), self.rho[n])
+        return _poisson_pmf(np.arange(self.truncation(n) + 1), float(self.rho[n]))
 
 
 def product_form(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ProductForm:

@@ -175,6 +175,7 @@ def _parse_route(section: str, key: str, raw: str, n_nodes: int) -> tuple[float,
     raw = raw.strip()
     if not raw:
         return tuple(row)
+    seen = set()
     for entry in raw.split(","):
         target_text, sep, prob_text = entry.partition(":")
         if not sep:
@@ -184,8 +185,9 @@ def _parse_route(section: str, key: str, raw: str, n_nodes: int) -> tuple[float,
         if not 1 <= target <= n_nodes:
             raise _fail(section, key,
                         f"target {target} out of range 1..{n_nodes}")
-        if row[target - 1] != 0.0:
+        if target in seen:
             raise _fail(section, key, f"duplicate target {target}")
+        seen.add(target)
         row[target - 1] = _parse_float(section, key, prob_text.strip())
     return tuple(row)
 

@@ -209,10 +209,10 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
                     BAD_SHAPE, rwhere,
                     f"routing row has {len(row)} entries, expected {n}"))
                 continue
-            if any(p < 0 for p in row):
+            if not all(map(math.isfinite, row)) or min(row) < 0:
                 report.append(Violation(
                     ROW_NOT_SUBSTOCHASTIC, rwhere,
-                    "routing probabilities must be >= 0"))
+                    "routing probabilities must be finite and >= 0"))
             elif sum(row) > 1 + _ROW_SUM_TOL:
                 report.append(Violation(
                     ROW_NOT_SUBSTOCHASTIC, rwhere,

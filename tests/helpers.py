@@ -1,5 +1,8 @@
 """Shared test utilities: an independent Monte Carlo oracle for minimum
-statistics, and random network generators for property checks."""
+statistics, a reference Poisson pmf, and random network generators for
+property checks."""
+
+import math
 
 import numpy as np
 
@@ -13,6 +16,11 @@ from deadlinenet import (
     Weibull,
     validate,
 )
+
+
+def poisson_pmf(x, rho):
+    """Poisson(rho) pmf at the integer x, by its closed form."""
+    return math.exp(-rho) * rho**x / math.factorial(x)
 
 
 def mc_draws(dist, n, rng):

@@ -10,6 +10,7 @@ from deadlinenet import (
     NetworkSpec,
     NodeSpec,
     OpennessError,
+    ProductForm,
     Uniform,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
@@ -21,7 +22,7 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from helpers import random_exponential_network, random_general_network
+from helpers import poisson_pmf, random_exponential_network, random_general_network
 
 E_INV = math.exp(-1.0)
 
@@ -88,6 +89,14 @@ def test_marginals_are_poisson():
     pmf = pf.marginal_pmf(0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     assert pmf.size == pf.truncation(0) + 1
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-3, 0.37, 1.0, 7.5, 40.0])
+def test_marginal_pmf_matches_closed_form(rho):
+    pf = ProductForm(rho=np.array([rho]))
+    pmf = pf.marginal_pmf(0)
+    reference = np.array([poisson_pmf(x, rho) for x in range(pmf.size)])
+    np.testing.assert_allclose(pmf, reference, rtol=1e-12, atol=0.0)
 
 
 def test_truncation_rule():

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import deadlinenet
 from deadlinenet import SimConfig, product_form, simulate, two_node_deadline_example
 from deadlinenet.cli import (
     EXIT_OPENNESS,
@@ -205,6 +210,14 @@ def test_substochastic_violation_exits_3(runner, tmp_path):
     assert "substochastic" in result.stderr
 
 
+def test_non_finite_routing_exits_3(runner, tmp_path):
+    cfg = write_config(tmp_path, CLOSED.replace("1: 1.0", "1: nan"))
+    result = runner.invoke(main, ["solve", "--config", cfg])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "node 1 component 1" in result.stderr
+    assert "finite" in result.stderr
+
+
 def test_closed_network_exits_4(runner, tmp_path):
     cfg = write_config(tmp_path, CLOSED)
     result = runner.invoke(main, ["solve", "--config", cfg])
@@ -230,3 +243,16 @@ def test_usage_errors_use_reserved_exit_code(runner):
 def test_parse_csv_tables_rejects_foreign_text():
     with pytest.raises(ValueError):
         parse_csv_tables("state,probability\n0,1.0\n")
+
+
+def test_cli_import_loads_no_scipy():
+    # the command-line start-up cost is dominated by imports; scipy alone
+    # once took most of it, so the CLI must not load it even indirectly
+    src = str(Path(deadlinenet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, deadlinenet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -138,6 +138,7 @@ def test_section_level_errors(mutation, fragment):
     (_single_node("exp(rate=1.0)") + "\n[outputs]\nformat = yaml\n", "format"),
     (_single_node("exp(rate=1.0)") + "\n[outputs]\nplot = true\n",
      "unknown keys"),
+    (_single_node("exp(rate=1.0)", route="1: 0.0, 1: 0.3"), "duplicate target"),
 ])
 def test_key_level_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -149,6 +150,16 @@ def test_invalid_network_reported_with_violations():
     with pytest.raises(InvalidNetworkError) as err:
         parse_scenario(text)
     assert any("substochastic" in str(v) for v in err.value.report)
+
+
+def test_non_finite_routing_reported_with_violation():
+    text = render_scenario(CANONICAL).replace("node1.route1 = 2: 1.0",
+                                              "node1.route1 = 2: nan")
+    with pytest.raises(InvalidNetworkError) as err:
+        parse_scenario(text)
+    [violation] = err.value.report
+    assert violation.where == "node 1 component 1"
+    assert "finite" in violation.message
 
 
 def test_closed_network_reported_as_not_open():

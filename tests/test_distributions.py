@@ -10,6 +10,7 @@ from deadlinenet import (
     InvalidNetworkError,
     NetworkSpec,
     NodeSpec,
+    QuadratureError,
     Uniform,
     Weibull,
     compute_min_stats,
@@ -18,9 +19,16 @@ from deadlinenet import (
     min_probability,
     two_node_deadline_example,
 )
-from deadlinenet.distributions import density, mean, sample, survival
+from deadlinenet.distributions import (
+    _kinks,
+    _tail_time,
+    density,
+    mean,
+    sample,
+    survival,
+)
 
-from helpers import mc_min_stats
+from helpers import mc_min_stats, random_component
 
 E_INV = math.exp(-1.0)  # P(unit exponential exceeds a unit deadline)
 
@@ -157,6 +165,21 @@ def test_conditional_mean_rejects_zero_probability_component():
         conditional_mean_given_min((Exponential(1.0), Infinite()), 1)
 
 
+@pytest.mark.parametrize("shape", [0.2, 0.5, 0.8, 2.5])
+def test_equal_shape_weibull_race(shape):
+    # W^shape is exponential, so the race is won in proportion to
+    # scale^-shape, and the minimum, independent of the winner, is Weibull
+    race = (Weibull(shape, 1.0), Weibull(shape, 2.0))
+    weights = np.array([1.0, 2.0 ** -shape])
+    min_mean = weights.sum() ** (-1.0 / shape) * math.gamma(1.0 + 1.0 / shape)
+    for k in range(2):
+        assert min_probability(race, k) == pytest.approx(
+            weights[k] / weights.sum(), rel=1e-12)
+        assert conditional_mean_given_min(race, k) == pytest.approx(
+            min_mean, rel=1e-12)
+    assert expected_min(race) == pytest.approx(min_mean, rel=1e-12)
+
+
 def test_two_deterministic_components():
     pair = (Deterministic(0.5), Deterministic(1.5))
     assert min_probability(pair, 0) == 1.0
@@ -218,3 +241,77 @@ def test_quadrature_against_monte_carlo(components):
             cm = conditional_mean_given_min(components, k)
             assert abs(cm - cond_hat[k]) < 4 * cond_se[k] + 1e-9
     assert abs(expected_min(components) - min_hat) < 4 * min_se
+
+
+# --- quadrature failure and the SciPy oracle --------------------------------
+
+def test_unresolvable_singularity_names_node_and_component():
+    # a Weibull density ~ t^-0.95 at 0 is beyond the panel-split cap
+    steady = NodeSpec(components=(Exponential(1.0), Exponential(2.0)),
+                      routing=((0.0, 0.0), (0.0, 0.0)))
+    spiky = NodeSpec(components=(Exponential(1.0), Weibull(0.05, 1.0)),
+                     routing=((0.0, 0.0), (0.0, 0.0)))
+    spec = NetworkSpec(nodes=(steady, spiky), arrival_rates=(1.0, 1.0))
+    with pytest.raises(QuadratureError, match="node 2 component 2"):
+        compute_min_stats(spec)
+
+
+def _scipy_min_stats(components):
+    """p, cond_mean and mean_min of one race by scipy.integrate.quad on the
+    panels between kinks, from the pointwise survival and density."""
+    from scipy.integrate import quad
+
+    finite = [c for c in components if not isinstance(c, Infinite)]
+    upper = min(_tail_time(c, 1e-16) for c in finite)
+    edges = [0.0, *sorted({t for c in finite for t in _kinks(c) if 0 < t < upper}),
+             upper]
+
+    def integral(fn):
+        return sum(quad(fn, a, b, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    def others(k, t):
+        return math.prod(survival(c, t) for j, c in enumerate(components) if j != k)
+
+    p, cond = [], []
+    for k, d in enumerate(components):
+        if isinstance(d, Infinite):
+            p.append(0.0)
+        elif isinstance(d, Deterministic):
+            p.append(others(k, d.value))
+        else:
+            p.append(integral(lambda t: density(d, t) * others(k, t)))
+        # MinStats holds p below 1e-12 as exactly 0, with cond_mean +inf
+        if p[k] < 1e-12:
+            p[k] = 0.0
+            cond.append(math.inf)
+        elif isinstance(d, Deterministic):
+            cond.append(d.value)
+        else:
+            cond.append(integral(lambda t: t * density(d, t) * others(k, t)) / p[k])
+    return p, cond, integral(lambda t: math.prod(survival(c, t) for c in finite))
+
+
+def test_quadrature_against_scipy():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(20160919)
+    races = []
+    while len(races) < 12:
+        race = (Weibull(0.8, float(rng.uniform(0.4, 2.0))),
+                *(random_component(rng) for _ in range(2)))
+        atoms = [c.value for c in race if isinstance(c, Deterministic)]
+        if len(atoms) == len(set(atoms)):
+            races.append(tuple(race[i] for i in rng.permutation(3)))
+    # closed-form races of exponentials and deadlines, one deadline short
+    races += [(Exponential(2.0), Deterministic(1e-7), Exponential(0.5)),
+              (Deterministic(2.0), Exponential(0.7), Deterministic(1.3))]
+    spec = NetworkSpec(
+        nodes=tuple(NodeSpec(components=race, routing=((0.0,) * len(races),) * 3)
+                    for race in races),
+        arrival_rates=(1.0,) * len(races))
+    stats = compute_min_stats(spec)
+    for n, race in enumerate(races):
+        p, cond, mean_min = _scipy_min_stats(race)
+        np.testing.assert_allclose(stats.p[n], p, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(stats.cond_mean[n], cond, rtol=1e-11, atol=0.0)
+        assert stats.mean_min[n] == pytest.approx(mean_min, rel=1e-11, abs=0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ def test_routing_row_length_mismatch():
 def test_negative_routing_probability():
     spec = single_node(Exponential(1.0), loop=-0.2)
     assert kinds(structural_violations(spec)) == [ROW_NOT_SUBSTOCHASTIC]
+
+
+@pytest.mark.parametrize("loop", [math.nan, math.inf, -math.inf])
+def test_non_finite_routing_probability(loop):
+    report = structural_violations(single_node(Exponential(1.0), loop=loop))
+    assert kinds(report) == [ROW_NOT_SUBSTOCHASTIC]
+    assert report[0].where == "node 1 component 1"
+    assert "finite" in report[0].message
 
 
 def test_routing_row_exceeding_one():

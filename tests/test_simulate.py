@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
 
 from deadlinenet import (
     Exponential,
@@ -16,6 +15,8 @@ from deadlinenet import (
     total_variation,
     two_node_deadline_example,
 )
+
+from helpers import poisson_pmf
 
 CFG = SimConfig(seed=7, horizon=3_000.0, warmup=300.0)
 
@@ -119,7 +120,7 @@ def test_single_markovian_node_matches_poisson():
     duration = res.effective_duration
     empirical = {x: w / duration for x, w in res.marginal_weights[0].items()}
     support = max(empirical) + 1
-    reference = dict(enumerate(poisson.pmf(np.arange(support + 1), 1.0)))
+    reference = {x: poisson_pmf(x, 1.0) for x in range(support + 1)}
     assert total_variation(empirical, reference) < 0.02
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
 
 from deadlinenet import (
     EventCounts,
@@ -23,7 +22,7 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from helpers import random_exponential_network
+from helpers import poisson_pmf, random_exponential_network
 
 
 def fake_result(marginals, joint, duration, n_nodes=2):
@@ -80,9 +79,8 @@ def test_total_variation_disjoint_point_masses():
 
 def test_total_variation_poisson_pair():
     # direct-summation value for Poisson(1) vs Poisson(1.1), frozen
-    support = np.arange(45)
-    p = dict(enumerate(poisson.pmf(support, 1.0)))
-    q = dict(enumerate(poisson.pmf(support, 1.1)))
+    p = {x: poisson_pmf(x, 1.0) for x in range(45)}
+    q = {x: poisson_pmf(x, 1.1) for x in range(45)}
     assert total_variation(p, q) == pytest.approx(0.03672960657691758,
                                                   abs=1e-12)
 
