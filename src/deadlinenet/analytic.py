@@ -17,14 +17,14 @@ the exact solution corrects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .distributions import MinStats, compute_min_stats, mean as dist_mean, sample
+from .distributions import MinStats, compute_min_stats, mean as dist_mean
 from .errors import InfiniteMeanError, OpennessError
-from .model import Infinite, NetworkSpec
+from .model import Infinite, NetworkSpec, route_tensor, trapped_nodes
 
 __all__ = [
     "TrafficSolution",
@@ -45,24 +45,32 @@ _RESIDUAL_TOL = 1e-10
 
 def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """Solve A x = b by dense elimination and enforce the openness contract:
-    the solution must be nonnegative with residual <= 1e-10 in max norm."""
+    the normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) must be
+    at most 1e-10 and no flow may be below -1e-10 ||x|| (max norms). Returns
+    x, clipped at 0, and the absolute residual ||A x - b||."""
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise OpennessError(
             f"{what}: singular system — network not open "
             f"or numerically degenerate ({exc})") from exc
-    residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    if residual > _RESIDUAL_TOL:
+    if not b.size:
+        return x, 0.0
+    # ndarray methods: np.max and friends cost several times more per call
+    # on the small systems that compare solves three times
+    residual = float(np.abs(A @ x - b).max())
+    scale = float(np.abs(x).max())
+    bound = float(np.abs(A).sum(axis=1).max()) * scale + float(np.abs(b).max())
+    if not residual <= _RESIDUAL_TOL * bound:
         raise OpennessError(
-            f"{what}: residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e} — "
-            "network not open or numerically degenerate")
-    worst = int(np.argmin(x)) if x.size else 0
-    if x.size and x[worst] < -_RESIDUAL_TOL:
+            f"{what}: backward error {residual / bound:.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e} — network not open or numerically degenerate")
+    worst = int(x.argmin())
+    if x[worst] < -_RESIDUAL_TOL * scale:
         raise OpennessError(
             f"{what}: negative flow {x[worst]:.3e} at index {worst} — "
             "network not open or numerically degenerate")
-    np.clip(x, 0.0, None, out=x)
+    np.maximum(x, 0.0, out=x)
     return x, residual
 
 
@@ -81,28 +89,33 @@ class TrafficSolution:
 
 def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
     """Solve the flow equations alpha_{n,k} = p_{n,k} lambda_n +
-    sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l} as one dense linear system."""
+    sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l} as one dense linear system.
+
+    Raises OpennessError when the pairs with p > 0 leave some node's
+    customers no way out (see :func:`~deadlinenet.model.trapped_nodes`) or
+    the solve is numerically degenerate."""
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
-
-    def idx(n: int, k: int) -> int:
-        return n * n_comp + k
-
-    coeff = np.eye(size)
-    b = np.zeros(size)
-    for n in range(n_nodes):
-        for k in range(n_comp):
-            row = idx(n, k)
-            p_nk = stats.p[n, k]
-            b[row] = p_nk * spec.arrival_rates[n]
-            for m in range(n_nodes):
-                routing = spec.nodes[m].routing
-                for l in range(n_comp):
-                    coeff[row, idx(m, l)] -= p_nk * routing[l][n]
-    alpha, residual = _solve_open(coeff, b, "traffic equations")
+    routes = route_tensor(spec)
+    trapped = trapped_nodes(routes, stats.p > 0)
+    if trapped:
+        # the system is singular, though rounding may hide it from the solve
+        raise OpennessError(
+            "traffic equations: network not open — customers at node(s) "
+            f"{', '.join(str(n + 1) for n in trapped)} can never leave")
+    coeff = np.eye(size) - np.einsum(
+        "nk,mln->nkml", stats.p, routes).reshape(size, size)
+    alpha, residual = _solve_open(coeff, _external_inflow(spec, stats),
+                                  "traffic equations")
     alpha = alpha.reshape(n_nodes, n_comp)
     alpha[stats.p == 0] = 0.0
     return TrafficSolution(alpha=alpha, residual=residual)
+
+
+def _external_inflow(spec: NetworkSpec, stats: MinStats) -> np.ndarray:
+    """External arrival rate p_{n,k} lambda_n into each (node, component),
+    flattened in (n, k) order."""
+    return (stats.p * np.asarray(spec.arrival_rates)[:, None]).ravel()
 
 
 def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
@@ -117,21 +130,17 @@ def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
 
 @dataclass
 class ProductForm:
-    """Equilibrium occupancy: independent Poisson(rho[n]) at each node."""
+    """Equilibrium occupancy: independent Poisson(rho[n]) at each node.
+
+    ``traffic`` is the solution of the traffic equations that rho was
+    computed from (None when rho was given directly)."""
 
     rho: np.ndarray
+    traffic: Optional[TrafficSolution] = None
 
     def marginal(self, n: int, x: int) -> float:
         """P(X_n = x)."""
         return float(_poisson_pmf(x, float(self.rho[n])))
-
-    def joint(self, occupancy) -> float:
-        """P(X_1 = x_1, ..., X_N = x_N) — the product of the marginals."""
-        xs = tuple(occupancy)
-        if len(xs) != len(self.rho):
-            raise ValueError(
-                f"occupancy vector has {len(xs)} entries, expected {len(self.rho)}")
-        return float(np.prod([self.marginal(n, x) for n, x in enumerate(xs)]))
 
     def truncation(self, n: int) -> int:
         """Support bound used for tables and metrics; the tail mass beyond
@@ -149,12 +158,10 @@ def product_form(spec: NetworkSpec, stats: Optional[MinStats] = None) -> Product
     if stats is None:
         stats = compute_min_stats(spec)
     traffic = solve_traffic(spec, stats)
-    rho = np.zeros(spec.n_nodes)
     mask = stats.p > 0
     contrib = np.zeros_like(stats.p)
     contrib[mask] = traffic.alpha[mask] * stats.cond_mean[mask]
-    rho = contrib.sum(axis=1)
-    return ProductForm(rho=rho)
+    return ProductForm(rho=contrib.sum(axis=1), traffic=traffic)
 
 
 @dataclass
@@ -180,33 +187,6 @@ class ExpandedNetwork:
     def n_expanded(self) -> int:
         return len(self.node_ids)
 
-    def conditional_sampler(self, n: int, k: int) -> Callable[[np.random.Generator], float]:
-        """Sampler for S_{n,k} given it achieves the minimum (rejection on
-        joint draws of node n's finite components)."""
-        node = self.spec.nodes[n]
-        finite = [(j, d) for j, d in enumerate(node.components)
-                  if not isinstance(d, Infinite)]
-        if all(j != k for j, _ in finite):
-            raise ValueError(f"component {k + 1} of node {n + 1} is infinite")
-        p = self.achievement[n * self.spec.n_components + k]
-        if p == 0:
-            raise ValueError(
-                f"component {k + 1} of node {n + 1} never achieves the minimum")
-
-        def draw(rng: np.random.Generator) -> float:
-            while True:
-                best = math.inf
-                best_j = -1
-                for j, d in finite:
-                    s = sample(d, rng)
-                    if s < best:
-                        best = s
-                        best_j = j
-                if best_j == k:
-                    return best
-
-        return draw
-
 
 def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ExpandedNetwork:
     """Build the equivalent expanded network: external rate p_{n,k} lambda_n
@@ -216,18 +196,12 @@ def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> Expan
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
     node_ids = tuple((n, k) for n in range(n_nodes) for k in range(n_comp))
-    routing = np.zeros((size, size))
-    external = np.zeros(size)
-    for i, (n, k) in enumerate(node_ids):
-        external[i] = stats.p[n, k] * spec.arrival_rates[n]
-        row = spec.nodes[n].routing[k]
-        for j, (m, l) in enumerate(node_ids):
-            routing[i, j] = row[m] * stats.p[m, l]
+    routing = np.einsum("nkm,ml->nkml", route_tensor(spec), stats.p)
     return ExpandedNetwork(
         spec=spec,
         node_ids=node_ids,
-        routing=routing,
-        external_rates=external,
+        routing=routing.reshape(size, size),
+        external_rates=_external_inflow(spec, stats),
         cond_means=stats.cond_mean.reshape(size).copy(),
         achievement=stats.p.reshape(size).copy(),
         supernode=tuple(n for n, _ in node_ids),
@@ -290,14 +264,9 @@ def _component_rates(spec: NetworkSpec) -> np.ndarray:
     return rates
 
 
-def _route_tensor(spec: NetworkSpec) -> np.ndarray:
-    """routing[n, k, m] as one array."""
-    return np.array([[list(row) for row in node.routing] for node in spec.nodes])
-
-
 def _baseline_solve(spec: NetworkSpec, weights: np.ndarray,
                     node_rates: np.ndarray, method: str) -> BaselineResult:
-    routes = _route_tensor(spec)
+    routes = route_tensor(spec)
     q = np.einsum("nk,nkm->nm", weights, routes)
     lam = np.asarray(spec.arrival_rates, dtype=float)
     flows, _ = _solve_open(np.eye(spec.n_nodes) - q.T, lam.copy(),

@@ -18,12 +18,12 @@ import click
 import numpy as np
 
 from .analytic import (
+    _poisson_pmf,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     expand_network,
     product_form,
     solve_expanded,
-    solve_traffic,
 )
 from .config import (
     OUTPUT_FORMATS,
@@ -100,6 +100,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -263,9 +265,8 @@ def cmd_solve(config_path, fmt, out_path):
     def body():
         scenario = _load(config_path)
         spec = scenario.network
-        stats = compute_min_stats(spec)
-        traffic = solve_traffic(spec, stats)
-        pf = product_form(spec, stats)
+        pf = product_form(spec)
+        traffic = pf.traffic
         doc = _Doc("solve")
         doc.table("rho", ["node", "rho"],
                   [[n + 1, float(pf.rho[n])] for n in range(spec.n_nodes)])
@@ -278,7 +279,7 @@ def cmd_solve(config_path, fmt, out_path):
         pmf_payload = []
         for n in range(spec.n_nodes):
             upto = pf.truncation(n) if limit is None else limit
-            pmf = [float(pf.marginal(n, x)) for x in range(upto + 1)]
+            pmf = _poisson_pmf(np.arange(upto + 1), float(pf.rho[n])).tolist()
             pmf_payload.append({"node": n + 1, "pmf": pmf})
             marginal_rows.extend([[n + 1, x, p] for x, p in enumerate(pmf)])
         doc.table("marginal", ["node", "state", "probability"], marginal_rows)
@@ -442,11 +443,11 @@ def cmd_expand(config_path, fmt, out_path):
               float(solution.alpha[i]),
               float(solution.rho[i])]
              for i, (n, k) in enumerate(expanded.node_ids)])
+        rows, cols = np.nonzero(expanded.routing > 0.0)
         doc.table("expanded_routing", ["from", "to", "probability"],
-                  [[i + 1, j + 1, float(expanded.routing[i, j])]
-                   for i in range(expanded.n_expanded)
-                   for j in range(expanded.n_expanded)
-                   if expanded.routing[i, j] > 0.0])
+                  [[i + 1, j + 1, q] for i, j, q in zip(
+                      rows.tolist(), cols.tolist(),
+                      expanded.routing[rows, cols].tolist())])
         diff = np.abs(solution.supernode_rho - pf.rho)
         doc.table("supernode_rho", ["node", "direct", "aggregated", "abs_diff"],
                   [[n + 1, float(pf.rho[n]), float(solution.supernode_rho[n]),

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 __all__ = [
     "Exponential",
     "Deterministic",
@@ -26,6 +28,9 @@ __all__ = [
     "NetworkSpec",
     "Violation",
     "structural_violations",
+    "can_win",
+    "route_tensor",
+    "trapped_nodes",
     "validate",
     "two_node_deadline_example",
 ]
@@ -229,27 +234,81 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
     return report
 
 
+def _support(d: ServiceDistribution) -> tuple[float, float]:
+    """Closed support [lower, upper] of a law. An Infinite component never
+    fires, so its support is the point +inf."""
+    if isinstance(d, (Exponential, Weibull)):
+        return 0.0, math.inf
+    if isinstance(d, Deterministic):
+        return d.value, d.value
+    if isinstance(d, Uniform):
+        return d.lo, d.hi
+    if isinstance(d, Infinite):
+        return math.inf, math.inf
+    raise TypeError(f"unknown distribution {d!r}")
+
+
+def can_win(node: NodeSpec) -> tuple[bool, ...]:
+    """Whether each component achieves the node's minimum with positive
+    probability: its support starts below the upper end of every other
+    component's support."""
+    bounds = [_support(c) for c in node.components]
+    return tuple(
+        lo < min((hi for j, (_, hi) in enumerate(bounds) if j != k),
+                 default=math.inf)
+        for k, (lo, _) in enumerate(bounds))
+
+
+def route_tensor(spec: NetworkSpec) -> np.ndarray:
+    """routing[n, k, m] of a structurally valid spec as one array."""
+    return np.array([node.routing for node in spec.nodes], dtype=float)
+
+
+def trapped_nodes(routes: np.ndarray, wins: np.ndarray) -> list[int]:
+    """Nodes with a winning (node, component) pair from which no chain of
+    winning pairs reaches a routing row that sums to less than 1.
+
+    ``routes`` is :func:`route_tensor`, ``wins[n, k]`` whether component k
+    can achieve node n's minimum. A customer leaving (n, k) moves to node m
+    when routes[n, k, m] > 0 and is then served by every winning component
+    of m, so a node escapes once one of its winning pairs leads out. With
+    wins = p > 0 and exact row sums, the traffic equations are singular
+    exactly when this list is not empty.
+    """
+    leaks = routes.sum(axis=2) < 1.0
+    feeds = routes > 0.0
+    escapes = (wins & leaks).any(axis=1)
+    while True:
+        good = wins & (leaks | (feeds & escapes).any(axis=2))
+        grown = good.any(axis=1)
+        if (grown == escapes).all():
+            return (wins & ~good).any(axis=1).nonzero()[0].tolist()
+        escapes = grown
+
+
 def validate(spec: NetworkSpec) -> list[Violation]:
     """Full validation: structural invariants plus openness.
 
-    Openness is checked by attempting the traffic-equation solve and is
-    reported as a distinct violation kind. Pure: the same spec always
-    produces the same report. An empty report means the spec is valid.
+    The network is open when, from every (node, component) pair that can
+    achieve the minimum (see :func:`can_win`), some chain of such pairs
+    reaches a routing row that sums to less than 1; this is a reachability
+    check on the routing graph, with no quadrature or linear solve. The
+    nodes it finds trapped are reported as one violation of a distinct
+    kind. Pure: the same spec always produces the same report. An empty
+    report means the spec is valid.
     """
     report = structural_violations(spec)
     if report:
         return report
-
-    # deferred import: the openness check needs the solver stack, which in
-    # turn depends on the types defined here
-    from .analytic import solve_traffic
-    from .distributions import compute_min_stats
-    from .errors import OpennessError
-
-    try:
-        solve_traffic(spec, compute_min_stats(spec))
-    except OpennessError as exc:
-        report.append(Violation(NOT_OPEN, "network", str(exc)))
+    trapped = trapped_nodes(route_tensor(spec),
+                            np.array([can_win(node) for node in spec.nodes]))
+    if trapped:
+        where = ("node " if len(trapped) == 1 else "nodes ") + ", ".join(
+            str(n + 1) for n in trapped)
+        report.append(Violation(
+            NOT_OPEN, where,
+            "some customers served here never leave the network: no chain of "
+            "components that can win reaches a routing row summing to < 1"))
     return report
 
 

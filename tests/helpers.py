@@ -1,5 +1,7 @@
 """Shared test utilities: an independent Monte Carlo oracle for minimum
-statistics, a reference Poisson pmf, and random network generators for
+statistics, a reference Poisson pmf, the loop assembly of the traffic and
+expanded-network systems as a reference for the vectorised one, samplers
+and the joint pmf of the exact solution, and random network generators for
 property checks."""
 
 import math
@@ -16,11 +18,93 @@ from deadlinenet import (
     Weibull,
     validate,
 )
+from deadlinenet.analytic import TrafficSolution, _solve_open
+from deadlinenet.distributions import sample
 
 
 def poisson_pmf(x, rho):
     """Poisson(rho) pmf at the integer x, by its closed form."""
     return math.exp(-rho) * rho**x / math.factorial(x)
+
+
+def joint_pmf(pf, occupancy):
+    """P(X_1 = x_1, ..., X_N = x_N) under the product form ``pf``: the
+    product of the node marginals."""
+    xs = tuple(occupancy)
+    if len(xs) != len(pf.rho):
+        raise ValueError(
+            f"occupancy vector has {len(xs)} entries, expected {len(pf.rho)}")
+    return float(np.prod([pf.marginal(n, x) for n, x in enumerate(xs)]))
+
+
+def conditional_sampler(expanded, n, k):
+    """Sampler for S_{n,k} of an expanded network given that it achieves
+    the minimum (rejection on joint draws of node n's finite components)."""
+    node = expanded.spec.nodes[n]
+    finite = [(j, d) for j, d in enumerate(node.components)
+              if not isinstance(d, Infinite)]
+    if all(j != k for j, _ in finite):
+        raise ValueError(f"component {k + 1} of node {n + 1} is infinite")
+    p = expanded.achievement[n * expanded.spec.n_components + k]
+    if p == 0:
+        raise ValueError(
+            f"component {k + 1} of node {n + 1} never achieves the minimum")
+
+    def draw(rng):
+        while True:
+            best = math.inf
+            best_j = -1
+            for j, d in finite:
+                s = sample(d, rng)
+                if s < best:
+                    best = s
+                    best_j = j
+            if best_j == k:
+                return best
+
+    return draw
+
+
+def loop_traffic(spec, stats):
+    """solve_traffic with its system assembled entry by entry: the reference
+    for the vectorised assembly."""
+    n_nodes, n_comp = stats.p.shape
+    size = n_nodes * n_comp
+
+    def idx(n, k):
+        return n * n_comp + k
+
+    coeff = np.eye(size)
+    b = np.zeros(size)
+    for n in range(n_nodes):
+        for k in range(n_comp):
+            row = idx(n, k)
+            p_nk = stats.p[n, k]
+            b[row] = p_nk * spec.arrival_rates[n]
+            for m in range(n_nodes):
+                routing = spec.nodes[m].routing
+                for l in range(n_comp):
+                    coeff[row, idx(m, l)] -= p_nk * routing[l][n]
+    alpha, residual = _solve_open(coeff, b, "traffic equations")
+    alpha = alpha.reshape(n_nodes, n_comp)
+    alpha[stats.p == 0] = 0.0
+    return TrafficSolution(alpha=alpha, residual=residual)
+
+
+def loop_expansion(spec, stats):
+    """(routing, external_rates) of the expanded network assembled entry by
+    entry: the reference for expand_network."""
+    n_nodes, n_comp = stats.p.shape
+    size = n_nodes * n_comp
+    node_ids = [(n, k) for n in range(n_nodes) for k in range(n_comp)]
+    routing = np.zeros((size, size))
+    external = np.zeros(size)
+    for i, (n, k) in enumerate(node_ids):
+        external[i] = stats.p[n, k] * spec.arrival_rates[n]
+        row = spec.nodes[n].routing[k]
+        for j, (m, l) in enumerate(node_ids):
+            routing[i, j] = row[m] * stats.p[m, l]
+    return routing, external
 
 
 def mc_draws(dist, n, rng):

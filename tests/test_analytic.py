@@ -22,7 +22,15 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from helpers import poisson_pmf, random_exponential_network, random_general_network
+from helpers import (
+    conditional_sampler,
+    joint_pmf,
+    loop_expansion,
+    loop_traffic,
+    poisson_pmf,
+    random_exponential_network,
+    random_general_network,
+)
 
 E_INV = math.exp(-1.0)
 
@@ -109,9 +117,9 @@ def test_joint_is_product_of_marginals():
     pf = product_form(two_node_deadline_example())
     for state in [(0, 0), (1, 2), (3, 1), (5, 5)]:
         expected = pf.marginal(0, state[0]) * pf.marginal(1, state[1])
-        assert pf.joint(state) == pytest.approx(expected, rel=1e-12)
+        assert joint_pmf(pf, state) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        pf.joint((1, 2, 3))
+        joint_pmf(pf, (1, 2, 3))
 
 
 def test_closed_network_raises_openness_error():
@@ -119,6 +127,65 @@ def test_closed_network_raises_openness_error():
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     with pytest.raises(OpennessError):
         solve_traffic(spec, compute_min_stats(spec))
+
+
+def _reference_networks():
+    rng = np.random.default_rng(5)
+    return ([two_node_deadline_example()]
+            + [random_general_network(rng, max_nodes=5) for _ in range(8)]
+            + [random_exponential_network(rng) for _ in range(4)])
+
+
+def test_vectorised_assembly_equals_loop_reference():
+    # every entry is the same single product as in the loop assembly, so
+    # the results must agree bit for bit
+    for spec in _reference_networks():
+        stats = compute_min_stats(spec)
+        assert np.array_equal(solve_traffic(spec, stats).alpha,
+                              loop_traffic(spec, stats).alpha)
+        routing, external = loop_expansion(spec, stats)
+        expanded = expand_network(spec, stats)
+        assert np.array_equal(expanded.routing, routing)
+        assert np.array_equal(expanded.external_rates, external)
+
+
+def test_product_form_keeps_its_traffic_solution():
+    spec = two_node_deadline_example()
+    stats = compute_min_stats(spec)
+    pf = product_form(spec, stats)
+    assert np.array_equal(pf.traffic.alpha, solve_traffic(spec, stats).alpha)
+    assert pf.traffic.residual == solve_traffic(spec, stats).residual
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e3, 1e7, 1e9])
+def test_rho_scales_linearly_with_arrivals(c):
+    for spec in _reference_networks():
+        scaled = NetworkSpec(nodes=spec.nodes,
+                             arrival_rates=[c * lam for lam in spec.arrival_rates])
+        np.testing.assert_allclose(product_form(scaled).rho,
+                                   c * product_form(spec).rho, rtol=1e-9, atol=0.0)
+
+
+def test_closed_networks_raise_even_when_rounding_hides_it():
+    # every routing row sums to exactly 1, but the achievement split of two
+    # exponentials makes the elimination inexact, so the computed matrix is
+    # often not exactly singular and only the graph check can tell
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        nodes = []
+        for _ in range(n):
+            rows = []
+            for _ in range(2):
+                row = [0.0] * n
+                for target in rng.integers(0, n, 2):
+                    row[target] += 0.5
+                rows.append(tuple(row))
+            comps = tuple(Exponential(float(rng.uniform(0.4, 3.0))) for _ in range(2))
+            nodes.append(NodeSpec(components=comps, routing=tuple(rows)))
+        spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=(1.0,) + (0.0,) * (n - 1))
+        with pytest.raises(OpennessError, match="not open"):
+            product_form(spec)
 
 
 def test_nearly_closed_network_still_solves():
@@ -182,13 +249,13 @@ def test_conditional_sampler_matches_conditional_mean():
     spec = two_node_deadline_example()
     expanded = expand_network(spec)
     rng = np.random.default_rng(99)
-    draw = expanded.conditional_sampler(0, 0)
+    draw = conditional_sampler(expanded, 0, 0)
     samples = np.array([draw(rng) for _ in range(20_000)])
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - 0.41802329313067358) < 4 * se
     assert samples.max() < 1.0  # the winner beat a unit deadline
     # the deadline side always returns exactly the deadline
-    deadline_draw = expanded.conditional_sampler(0, 1)
+    deadline_draw = conditional_sampler(expanded, 0, 1)
     assert {deadline_draw(rng) for _ in range(50)} == {1.0}
 
 
@@ -198,7 +265,7 @@ def test_conditional_sampler_rejects_never_achieving_component():
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     expanded = expand_network(spec)
     with pytest.raises(ValueError):
-        expanded.conditional_sampler(0, 1)
+        conditional_sampler(expanded, 0, 1)
 
 
 # --- naive single-rate approximations ---------------------------------------

@@ -168,6 +168,33 @@ def test_expand_single_component_network(runner, tmp_path):
     assert tables["expanded_routing"][1] == [["1", "2", "0.5"]]
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name in every deadlinenet namespace that holds it and
+    return the list its calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "deadlinenet" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "expand"])
+def test_each_exact_quantity_computed_once_per_command(runner, monkeypatch, command):
+    import deadlinenet.analytic
+    import deadlinenet.distributions
+
+    stats_calls = _count_calls(monkeypatch, deadlinenet.distributions, "compute_min_stats")
+    traffic_calls = _count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    invoke(runner, command, "--format", "json")
+    assert (len(stats_calls), len(traffic_calls)) == (1, 1)
+
+
 def test_baselines_values(runner):
     result = invoke(runner, "baselines", "--format", "csv")
     _, tables = parse_csv_tables(result.output)

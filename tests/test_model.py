@@ -12,6 +12,8 @@ from deadlinenet import (
     Uniform,
     Violation,
     Weibull,
+    compute_min_stats,
+    min_probability,
     structural_violations,
     two_node_deadline_example,
     validate,
@@ -23,9 +25,10 @@ from deadlinenet.model import (
     NOT_OPEN,
     ROW_NOT_SUBSTOCHASTIC,
     TIE_PROBABILITY_POSITIVE,
+    can_win,
 )
 
-from helpers import random_exponential_network
+from helpers import random_exponential_network, random_general_network
 
 
 def single_node(component, loop=0.0, rate=1.0):
@@ -157,6 +160,86 @@ def test_two_node_cycle_not_open():
     node_b = NodeSpec(components=(Exponential(2.0),), routing=((1.0, 0.0),))
     spec = NetworkSpec(nodes=(node_a, node_b), arrival_rates=(1.0, 0.0))
     assert kinds(validate(spec)) == [NOT_OPEN]
+
+
+def test_not_open_names_the_trapped_nodes():
+    # node 1 leaks; its second component feeds node 3, whose only
+    # component routes back to node 3: customers of node 3, and the share
+    # of node 1 that reaches it, never leave. Node 2 is not involved.
+    node1 = NodeSpec(components=(Exponential(1.0), Exponential(2.0)),
+                     routing=((0.0, 0.5, 0.0), (0.0, 0.0, 1.0)))
+    node2 = NodeSpec(components=(Exponential(1.0), Infinite()),
+                     routing=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    node3 = NodeSpec(components=(Exponential(1.0), Infinite()),
+                     routing=((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)))
+    spec = NetworkSpec(nodes=(node1, node2, node3),
+                       arrival_rates=(1.0, 1.0, 0.0))
+    [violation] = validate(spec)
+    assert violation.kind == NOT_OPEN
+    assert violation.where == "nodes 1, 3"
+    loop = single_node(Exponential(1.0), loop=1.0)
+    assert [v.where for v in validate(loop)] == ["node 1"]
+
+
+@pytest.mark.parametrize("components", [
+    (Deterministic(1.0), Deterministic(2.0)),
+    (Deterministic(1.0), Uniform(1.0, 2.0)),
+])
+def test_closed_row_of_a_component_that_never_wins_is_open(components):
+    # the second component's routing row is closed (back to the node with
+    # probability 1), but its support starts where the first one's ends,
+    # so no customer ever follows it
+    assert can_win(NodeSpec(components=components,
+                            routing=((0.0,), (0.0,)))) == (True, False)
+    node = NodeSpec(components=components, routing=((0.0,), (1.0,)))
+    spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
+    assert validate(spec) == []
+    flipped = NodeSpec(components=components, routing=((1.0,), (0.0,)))
+    assert [v.kind for v in validate(
+        NetworkSpec(nodes=(flipped,), arrival_rates=(1.0,)))] == [NOT_OPEN]
+
+
+def test_can_win_matches_nonzero_achievement_probability():
+    # compute_min_stats reports p < 1e-12 as exactly 0, so a component the
+    # supports say can win may show p = 0: its true probability must then
+    # be positive and below that floor. The first node is such a case.
+    floored = (Weibull(2.3481003522613477, 0.4305533485873014),
+               Uniform(0.23753026811089173, 1.9637721391794085),
+               Deterministic(1.7541319546826253))
+    races = [floored]
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        races.extend(node.components for node in random_general_network(rng).nodes)
+    seen_floored = 0
+    for comps in races:
+        node = NodeSpec(components=comps, routing=((0.0,),) * len(comps))
+        mask = np.array(can_win(node))
+        p = compute_min_stats(NetworkSpec(nodes=(node,), arrival_rates=(1.0,))).p[0]
+        below_floor = mask & (p == 0)
+        np.testing.assert_array_equal(mask & ~below_floor, p > 0, err_msg=str(comps))
+        for k in np.flatnonzero(below_floor):
+            assert 0 < min_probability(comps, k) < 1e-12, comps
+            seen_floored += 1
+    assert seen_floored >= 1
+
+
+def test_can_win_never_for_infinite():
+    node = NodeSpec(components=(Infinite(), Deterministic(3.0), Exponential(1.0)),
+                    routing=((0.0,),) * 3)
+    assert can_win(node) == (False, True, True)
+
+
+def test_validate_runs_no_quadrature_or_solve(monkeypatch):
+    import deadlinenet.analytic
+    import deadlinenet.distributions
+
+    def fail(*args, **kwargs):
+        raise AssertionError("validate must not call the solver stack")
+
+    monkeypatch.setattr(deadlinenet.distributions, "compute_min_stats", fail)
+    monkeypatch.setattr(deadlinenet.analytic, "solve_traffic", fail)
+    assert validate(two_node_deadline_example()) == []
+    assert kinds(validate(single_node(Exponential(1.0), loop=1.0))) == [NOT_OPEN]
 
 
 def test_validate_stops_at_structural_problems():
