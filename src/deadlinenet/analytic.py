@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import MinStats, compute_min_stats, mean as dist_mean
 from .errors import InfiniteMeanError, OpennessError
-from .model import Infinite, NetworkSpec, route_tensor, trapped_nodes
+from .model import Infinite, NetworkSpec, route_tensor
 
 __all__ = [
     "TrafficSolution",
@@ -45,9 +45,10 @@ _RESIDUAL_TOL = 1e-10
 
 def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """Solve A x = b by dense elimination and enforce the openness contract:
-    the normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) must be
-    at most 1e-10 and no flow may be below -1e-10 ||x|| (max norms). Returns
-    x, clipped at 0, and the absolute residual ||A x - b||."""
+    the residual ||A x - b|| must be at most 1e-10 ||b|| and no flow may be
+    below -1e-10 ||x|| (max norms). Both bounds scale with the arrival
+    rates; a near-singular system, whose solution blows up, still fails the
+    first. Returns x, clipped at 0, and the absolute residual."""
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -59,14 +60,14 @@ def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, fl
     # ndarray methods: np.max and friends cost several times more per call
     # on the small systems that compare solves three times
     residual = float(np.abs(A @ x - b).max())
-    scale = float(np.abs(x).max())
-    bound = float(np.abs(A).sum(axis=1).max()) * scale + float(np.abs(b).max())
-    if not residual <= _RESIDUAL_TOL * bound:
+    bound = _RESIDUAL_TOL * float(np.abs(b).max())
+    if not residual <= bound:
         raise OpennessError(
-            f"{what}: backward error {residual / bound:.3e} exceeds "
-            f"{_RESIDUAL_TOL:.0e} — network not open or numerically degenerate")
+            f"{what}: residual {residual:.3e} exceeds {bound:.3e} "
+            f"({_RESIDUAL_TOL:.0e} of the largest inflow) — "
+            "network not open or numerically degenerate")
     worst = int(x.argmin())
-    if x[worst] < -_RESIDUAL_TOL * scale:
+    if x[worst] < -_RESIDUAL_TOL * float(np.abs(x).max()):
         raise OpennessError(
             f"{what}: negative flow {x[worst]:.3e} at index {worst} — "
             "network not open or numerically degenerate")
@@ -91,20 +92,12 @@ def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
     """Solve the flow equations alpha_{n,k} = p_{n,k} lambda_n +
     sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l} as one dense linear system.
 
-    Raises OpennessError when the pairs with p > 0 leave some node's
-    customers no way out (see :func:`~deadlinenet.model.trapped_nodes`) or
-    the solve is numerically degenerate."""
+    Raises OpennessError when the system is singular or the solve is
+    numerically degenerate, as it is for a network that is not open."""
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
-    routes = route_tensor(spec)
-    trapped = trapped_nodes(routes, stats.p > 0)
-    if trapped:
-        # the system is singular, though rounding may hide it from the solve
-        raise OpennessError(
-            "traffic equations: network not open — customers at node(s) "
-            f"{', '.join(str(n + 1) for n in trapped)} can never leave")
     coeff = np.eye(size) - np.einsum(
-        "nk,mln->nkml", stats.p, routes).reshape(size, size)
+        "nk,mln->nkml", stats.p, route_tensor(spec)).reshape(size, size)
     alpha, residual = _solve_open(coeff, _external_inflow(spec, stats),
                                   "traffic equations")
     alpha = alpha.reshape(n_nodes, n_comp)
@@ -133,10 +126,10 @@ class ProductForm:
     """Equilibrium occupancy: independent Poisson(rho[n]) at each node.
 
     ``traffic`` is the solution of the traffic equations that rho was
-    computed from (None when rho was given directly)."""
+    computed from."""
 
     rho: np.ndarray
-    traffic: Optional[TrafficSolution] = None
+    traffic: TrafficSolution
 
     def marginal(self, n: int, x: int) -> float:
         """P(X_n = x)."""
@@ -148,9 +141,11 @@ class ProductForm:
         rho = float(self.rho[n])
         return math.ceil(rho + 12.0 * math.sqrt(rho) + 30.0)
 
-    def marginal_pmf(self, n: int) -> np.ndarray:
-        """pmf over 0..truncation(n) inclusive."""
-        return _poisson_pmf(np.arange(self.truncation(n) + 1), float(self.rho[n]))
+    def marginal_pmf(self, n: int, upto: Optional[int] = None) -> np.ndarray:
+        """pmf over 0..upto inclusive; upto defaults to truncation(n)."""
+        if upto is None:
+            upto = self.truncation(n)
+        return _poisson_pmf(np.arange(upto + 1), float(self.rho[n]))
 
 
 def product_form(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ProductForm:

@@ -18,7 +18,6 @@ import click
 import numpy as np
 
 from .analytic import (
-    _poisson_pmf,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     expand_network,
@@ -56,6 +55,11 @@ EXIT_OPENNESS = 4
 EXIT_NUMERICAL = 5
 
 _CSV_HEADER = "# deadlinenet-csv v1"
+
+# rows of the `solve` marginal table; the default truncation grows like
+# rho + 12 sqrt(rho), so very large arrival rates would otherwise build an
+# unbounded table in memory
+_MAX_MARGINAL_ROWS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +279,17 @@ def cmd_solve(config_path, fmt, out_path):
                    for n in range(spec.n_nodes)
                    for k in range(spec.n_components)])
         limit = scenario.outputs.marginals_upto
+        uptos = [pf.truncation(n) if limit is None else limit
+                 for n in range(spec.n_nodes)]
+        n_rows = sum(uptos) + len(uptos)
+        if n_rows > _MAX_MARGINAL_ROWS:
+            raise ConfigError(
+                f"the marginal table would have {n_rows} rows, more than "
+                f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
         marginal_rows = []
         pmf_payload = []
-        for n in range(spec.n_nodes):
-            upto = pf.truncation(n) if limit is None else limit
-            pmf = _poisson_pmf(np.arange(upto + 1), float(pf.rho[n])).tolist()
+        for n, upto in enumerate(uptos):
+            pmf = pf.marginal_pmf(n, upto).tolist()
             pmf_payload.append({"node": n + 1, "pmf": pmf})
             marginal_rows.extend([[n + 1, x, p] for x, p in enumerate(pmf)])
         doc.table("marginal", ["node", "state", "probability"], marginal_rows)

@@ -266,16 +266,17 @@ def route_tensor(spec: NetworkSpec) -> np.ndarray:
 
 def trapped_nodes(routes: np.ndarray, wins: np.ndarray) -> list[int]:
     """Nodes with a winning (node, component) pair from which no chain of
-    winning pairs reaches a routing row that sums to less than 1.
+    winning pairs reaches a routing row that sums to less than 1 (by more
+    than the rounding that :func:`structural_violations` forgives above 1).
 
     ``routes`` is :func:`route_tensor`, ``wins[n, k]`` whether component k
     can achieve node n's minimum. A customer leaving (n, k) moves to node m
     when routes[n, k, m] > 0 and is then served by every winning component
     of m, so a node escapes once one of its winning pairs leads out. With
-    wins = p > 0 and exact row sums, the traffic equations are singular
-    exactly when this list is not empty.
+    wins = p > 0, the traffic equations are singular, or within rounding of
+    it, when this list is not empty.
     """
-    leaks = routes.sum(axis=2) < 1.0
+    leaks = routes.sum(axis=2) < 1.0 - _ROW_SUM_TOL
     feeds = routes > 0.0
     escapes = (wins & leaks).any(axis=1)
     while True:
@@ -291,11 +292,11 @@ def validate(spec: NetworkSpec) -> list[Violation]:
 
     The network is open when, from every (node, component) pair that can
     achieve the minimum (see :func:`can_win`), some chain of such pairs
-    reaches a routing row that sums to less than 1; this is a reachability
-    check on the routing graph, with no quadrature or linear solve. The
-    nodes it finds trapped are reported as one violation of a distinct
-    kind. Pure: the same spec always produces the same report. An empty
-    report means the spec is valid.
+    reaches a routing row that sums to less than 1 - 1e-12; this is a
+    reachability check on the routing graph, with no quadrature or linear
+    solve. The nodes it finds trapped are reported as one violation of a
+    distinct kind. Pure: the same spec always produces the same report. An
+    empty report means the spec is valid.
     """
     report = structural_violations(spec)
     if report:

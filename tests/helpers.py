@@ -203,3 +203,13 @@ def random_general_network(rng, max_nodes=3, max_components=3):
     spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=rates)
     assert validate(spec) == []
     return spec
+
+
+def decimal_closed_network():
+    """Three exponential nodes that route every customer onward as
+    (0.7, 0.2, 0.1): closed, but each row sums to 0.9999999999999999 in
+    floating point."""
+    row = (0.7, 0.2, 0.1)
+    nodes = tuple(NodeSpec(components=(Exponential(rate),), routing=(row,))
+                  for rate in (1.0, 2.0, 3.0))
+    return NetworkSpec(nodes=nodes, arrival_rates=(1.0, 0.0, 0.0))

@@ -11,6 +11,7 @@ from deadlinenet import (
     NodeSpec,
     OpennessError,
     ProductForm,
+    TrafficSolution,
     Uniform,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
@@ -24,6 +25,7 @@ from deadlinenet import (
 
 from helpers import (
     conditional_sampler,
+    decimal_closed_network,
     joint_pmf,
     loop_expansion,
     loop_traffic,
@@ -101,7 +103,8 @@ def test_marginals_are_poisson():
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-3, 0.37, 1.0, 7.5, 40.0])
 def test_marginal_pmf_matches_closed_form(rho):
-    pf = ProductForm(rho=np.array([rho]))
+    pf = ProductForm(rho=np.array([rho]),
+                     traffic=TrafficSolution(alpha=np.array([[rho]]), residual=0.0))
     pmf = pf.marginal_pmf(0)
     reference = np.array([poisson_pmf(x, rho) for x in range(pmf.size)])
     np.testing.assert_allclose(pmf, reference, rtol=1e-12, atol=0.0)
@@ -169,7 +172,8 @@ def test_rho_scales_linearly_with_arrivals(c):
 def test_closed_networks_raise_even_when_rounding_hides_it():
     # every routing row sums to exactly 1, but the achievement split of two
     # exponentials makes the elimination inexact, so the computed matrix is
-    # often not exactly singular and only the graph check can tell
+    # often not exactly singular; the flows it yields are huge and the
+    # residual bound, relative to the inflow, rejects them
     rng = np.random.default_rng(0)
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -186,6 +190,19 @@ def test_closed_networks_raise_even_when_rounding_hides_it():
         spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=(1.0,) + (0.0,) * (n - 1))
         with pytest.raises(OpennessError, match="not open"):
             product_form(spec)
+
+
+def test_every_solver_rejects_a_network_closed_up_to_rounding():
+    # rows of (0.7, 0.2, 0.1) sum to 1 - 1.1e-16: the systems are within
+    # rounding of singular, so no flow they yield can be trusted
+    spec = decimal_closed_network()
+    stats = compute_min_stats(spec)
+    with pytest.raises(OpennessError, match="not open"):
+        solve_traffic(spec, stats)
+    with pytest.raises(OpennessError, match="not open"):
+        solve_expanded(expand_network(spec, stats))
+    with pytest.raises(OpennessError, match="not open"):
+        baseline_full_insensitivity(spec)
 
 
 def test_nearly_closed_network_still_solves():

@@ -17,6 +17,7 @@ from deadlinenet.cli import (
     main,
     parse_csv_tables,
 )
+from deadlinenet.config import bundled_scenario_path
 
 FAST = ["--horizon", "2000", "--warmup", "200"]
 
@@ -250,6 +251,23 @@ def test_closed_network_exits_4(runner, tmp_path):
     result = runner.invoke(main, ["solve", "--config", cfg])
     assert result.exit_code == EXIT_OPENNESS
     assert "not open" in result.stderr
+
+
+def test_solve_refuses_an_unbounded_default_marginal_table(runner, tmp_path):
+    # rho is about 1.6e7, so the default truncation would write some 1.6e7
+    # marginal rows; an explicit marginals_upto bounds the table
+    body = bundled_scenario_path().read_text().replace(
+        "arrivals = 1.0, 0.0", "arrivals = 1e7, 0.0")
+    cfg = write_config(tmp_path, body)
+    result = runner.invoke(main, ["solve", "--config", cfg])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "outputs.marginals_upto" in result.stderr
+    bounded = write_config(
+        tmp_path, body + "marginals_upto = 3\n", name="bounded.cfg")
+    result = invoke(runner, "solve", "--config", bounded, "--format", "json")
+    payload = json.loads(result.output)
+    assert payload["rho"][0] == pytest.approx(1.5819767068693265e7, rel=1e-12)
+    assert [len(m["pmf"]) for m in payload["marginals"]] == [4, 4]
 
 
 def test_baselines_infinite_component_exits_3(runner, tmp_path):

@@ -28,7 +28,11 @@ from deadlinenet.model import (
     can_win,
 )
 
-from helpers import random_exponential_network, random_general_network
+from helpers import (
+    decimal_closed_network,
+    random_exponential_network,
+    random_general_network,
+)
 
 
 def single_node(component, loop=0.0, rate=1.0):
@@ -179,6 +183,14 @@ def test_not_open_names_the_trapped_nodes():
     assert violation.where == "nodes 1, 3"
     loop = single_node(Exponential(1.0), loop=1.0)
     assert [v.where for v in validate(loop)] == ["node 1"]
+
+
+def test_row_that_misses_1_by_rounding_does_not_leak():
+    spec = decimal_closed_network()
+    assert sum(spec.nodes[0].routing[0]) < 1.0
+    [violation] = validate(spec)
+    assert violation.kind == NOT_OPEN
+    assert violation.where == "nodes 1, 2, 3"
 
 
 @pytest.mark.parametrize("components", [
