@@ -43,7 +43,6 @@ __all__ = [
     "survival",
     "density",
     "mean",
-    "sample",
     "min_probability",
     "conditional_mean_given_min",
     "expected_min",
@@ -134,23 +133,6 @@ def mean(d: ServiceDistribution) -> float:
         return d.scale * math.gamma(1.0 + 1.0 / d.shape)
     if isinstance(d, Infinite):
         return math.inf
-    raise TypeError(f"unknown distribution {d!r}")
-
-
-def sample(d: ServiceDistribution, rng: np.random.Generator) -> float:
-    """One draw via inverse transform; a single uniform stream drives every
-    law, so runs are reproducible given the generator and seed."""
-    if isinstance(d, Deterministic):
-        return d.value
-    if isinstance(d, Infinite):
-        raise ValueError("an infinite component is never sampled")
-    u = rng.random()
-    if isinstance(d, Exponential):
-        return -math.log1p(-u) / d.rate
-    if isinstance(d, Uniform):
-        return d.lo + u * (d.hi - d.lo)
-    if isinstance(d, Weibull):
-        return d.scale * (-math.log1p(-u)) ** (1.0 / d.shape)
     raise TypeError(f"unknown distribution {d!r}")
 
 

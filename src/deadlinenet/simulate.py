@@ -1,25 +1,39 @@
-"""Event-driven simulation of the original (non-Markovian-routing) network.
+"""Per-customer simulation of the original (non-Markovian-routing) network.
 
-Each arriving customer draws every finite competing time at its node, stays
-for the minimum, and on departure is routed by the row belonging to the
-component that achieved the minimum. The engine keeps a future-event list
-ordered by (time, sequence number) and accumulates time-weighted occupancy
-between events inside the measurement window [warmup, horizon].
+Every node is an infinite-server queue, so customers never interact and each
+trajectory can be drawn on its own. At each visit a customer draws every
+finite competing time at its node, stays for the minimum, and on departure
+is routed by the row belonging to the component that achieved the minimum.
+External arrivals are generated in blocks of ``BLOCK`` customers, and the
+customers of a block are advanced together one hop at a time in numpy until
+all have left; a customer whose departure falls after the horizon stops
+there. Each visit adds a +1 event at entry and, unless it outlasts the
+horizon, a -1 event at exit. A block's events are swept in time order
+together with those carried over from earlier blocks; events after the
+block's last arrival are carried forward again, since later blocks may still
+add events before them. The sweep accumulates time-weighted occupancy inside
+the measurement window [warmup, horizon].
 
 Determinism contract (given identical spec and config):
-  * one uniform stream drives everything, consumed in a fixed order —
-    per arrival, component draws in component index order (deterministic
-    components consume no uniform), then one uniform per departure for the
-    routing decision; external arrival gaps are drawn when the previous
-    arrival fires;
-  * simultaneous events are ordered by insertion sequence number;
+  * one uniform stream drives everything, consumed block by block. A block
+    first takes a (2, BLOCK) array: its first row gives the exponential gaps
+    of the merged external arrival stream (rate: the sum of the arrival
+    rates), its second row each arrival's entry node (node n with
+    probability lambda_n over that sum). Then each hop takes, for the m
+    customers of the block still in the network in arrival order, one
+    uniform per exponential, uniform or Weibull component, customer by
+    customer in component index order (deterministic and infinite
+    components consume none), followed by m routing uniforms;
+  * the histograms consume no randomness, so runs with and without the
+    joint histogram follow identical trajectories;
+  * a tied minimum goes to the lowest component index, and ``ties`` counts
+    the visits whose minimum was reached by more than one finite component;
   * replicate() derives the stream of run r from
     numpy.random.SeedSequence(seed).spawn(runs)[r].
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,6 +64,15 @@ GENERATORS = {
     "pcg64": np.random.PCG64,
     "philox": np.random.Philox,
 }
+
+# external arrivals per block; it bounds every per-block array to a few
+# thousand entries (tens of kilobytes)
+BLOCK = 1024
+# a joint-state key word holds the digits of consecutive nodes in at most
+# this many bits, so it never overflows int64
+_WORD_BITS = 63
+# joint states decoded into tuples at a time when the histogram is built
+_DECODE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,10 +109,6 @@ class EventCounts:
     arrivals: np.ndarray    # (N,) all arrivals per node (external + routed)
     departures: np.ndarray  # (N, K) departures by winning component
 
-    @property
-    def routed(self) -> np.ndarray:
-        return self.arrivals - self.external
-
 
 @dataclass
 class SimResult:
@@ -111,162 +130,335 @@ class SimResult:
     config: SimConfig
 
 
-def _sampling_plan(spec: NetworkSpec):
-    """Per node: tuple of (component, kind, a, b) for the finite components,
-    wired for inline inverse-transform draws in the event loop."""
-    plans = []
-    for node in spec.nodes:
-        plan = []
+def _sampling_plan(spec: NetworkSpec) -> np.ndarray:
+    """Law table of shape (4, N, K): for each (node, component) the
+    coefficients (shift, span, scale, power) of its inverse transform
+    shift + span * u + scale * (-log(1 - u)) ** power of a uniform u.
+
+    exp(rate) is (0, 0, 1/rate, 1), det(value) is (value, 0, 0, 1),
+    uniform(lo, hi) is (lo, hi - lo, 0, 1), weibull(shape, scale) is
+    (0, 0, scale, 1/shape), and an infinite component is (inf, 0, 0, 1),
+    so it never achieves the minimum."""
+    table = np.zeros((4, spec.n_nodes, spec.n_components))
+    table[3] = 1.0
+    for n, node in enumerate(spec.nodes):
         for k, d in enumerate(node.components):
             if isinstance(d, Exponential):
-                plan.append((k, 0, d.rate, 0.0))
+                table[2, n, k] = 1.0 / d.rate
             elif isinstance(d, Deterministic):
-                plan.append((k, 1, d.value, 0.0))
+                table[0, n, k] = d.value
             elif isinstance(d, Uniform):
-                plan.append((k, 2, d.lo, d.hi - d.lo))
+                table[0, n, k] = d.lo
+                table[1, n, k] = d.hi - d.lo
             elif isinstance(d, Weibull):
-                plan.append((k, 3, d.scale, 1.0 / d.shape))
-            # Infinite components never achieve the minimum: no draw.
-        plans.append(tuple(plan))
-    return plans
+                table[2, n, k] = d.scale
+                table[3, n, k] = 1.0 / d.shape
+            else:
+                table[0, n, k] = math.inf
+    return table
 
 
-def _route_tables(spec: NetworkSpec):
-    """Per (node, component): tuple of (cumulative probability, target);
-    a routing uniform beyond the last threshold means the customer exits."""
-    tables = []
-    for node in spec.nodes:
-        rows = []
-        for row in node.routing:
-            acc = 0.0
-            entries = []
-            for m, q in enumerate(row):
-                if q > 0.0:
-                    acc += q
-                    entries.append((acc, m))
-            rows.append(tuple(entries))
-        tables.append(tuple(rows))
-    return tables
+def _route_tables(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative routing table for the N*K rows, row n*K + k being the row
+    used when component k wins at node n: ``thresholds`` (N*K, W) holds the
+    running sums of the row's positive entries, padded with the row total,
+    and ``targets`` (N*K, W + 1) their nodes, padded with N (the exit). A
+    customer whose routing uniform is u goes to
+    targets[r, count of thresholds[r] <= u]."""
+    rows = [[(m, q) for m, q in enumerate(row) if q > 0.0]
+            for node in spec.nodes for row in node.routing]
+    width = max(len(row) for row in rows)
+    thresholds = np.zeros((len(rows), width))
+    targets = np.full((len(rows), width + 1), spec.n_nodes)
+    for r, row in enumerate(rows):
+        acc = 0.0
+        for j, (m, q) in enumerate(row):
+            acc += q
+            thresholds[r, j] = acc
+            targets[r, j] = m
+        thresholds[r, len(row):] = acc
+    return thresholds, targets
+
+
+class _Sweep:
+    """Time-weighted occupancy histogram fed with +1/-1 events block by
+    block.
+
+    Events are swept in time order up to each block's cutoff. With the joint
+    histogram, a state is a row of int64 words: the nodes' occupancies are
+    mixed-radix digits, node 1 first, packed into words of at most
+    ``_WORD_BITS`` bits, so the lexicographic order of the rows is the
+    tuple order of the states, for any number of nodes. Each node's radix
+    is a power of two above the largest occupancy observed so far; when a
+    node outgrows it, the recorded states are re-encoded with a wider
+    digit. Without the joint histogram, each node's occupancy is constant
+    between its own events, and the key is node * 2**32 + occupancy.
+    Either way the weights of all intervals swept so far are held as one
+    sorted array of distinct keys and their summed weights.
+    """
+
+    def __init__(self, n_nodes: int, cfg: SimConfig):
+        self.n_nodes = n_nodes
+        self.warmup = cfg.warmup
+        self.horizon = cfg.horizon
+        self.joint = cfg.record_joint
+        self.occ = np.zeros(n_nodes, dtype=np.int64)  # after the last event
+        self.time = 0.0                               # of the last event
+        self.node_time = np.zeros(n_nodes)    # of each node's last event
+        # (times, nodes, sign) of the events recorded since the last flush
+        self.batch: list = []
+        # (times, nodes, signs) of the events carried to the next flush
+        self.pending = (np.zeros(0), np.zeros(0, dtype=np.intp),
+                        np.zeros(0, dtype=np.int8))
+        self.n_words = 1
+        if self.joint:
+            self._layout(np.ones(n_nodes, dtype=np.int64))
+        self.keys = np.zeros((0, self.n_words), dtype=np.int64)
+        self.weights = np.zeros(0)
+
+    # -- joint-state encoding ------------------------------------------------
+
+    def _layout(self, bits: np.ndarray) -> None:
+        """Pack digits of the given widths into words, node 1 most
+        significant."""
+        word = np.zeros(self.n_nodes, dtype=np.intp)
+        used = 0
+        for n, b in enumerate(bits.tolist()):
+            if used + b > _WORD_BITS:
+                word[n:] += 1
+                used = 0
+            used += b
+        shift = np.zeros(self.n_nodes, dtype=np.int64)
+        for n in range(self.n_nodes - 2, -1, -1):
+            if word[n] == word[n + 1]:
+                shift[n] = shift[n + 1] + bits[n + 1]
+        self.bits = bits
+        self.word = word
+        self.shift = shift
+        self.stride = np.left_shift(1, shift)
+        self.mask = np.left_shift(1, bits) - 1
+        self.n_words = int(word[-1]) + 1
+
+    def _encode(self, digits: np.ndarray) -> np.ndarray:
+        """(..., N) occupancies -> (..., words) keys."""
+        keys = np.zeros(digits.shape[:-1] + (self.n_words,), dtype=np.int64)
+        for w in range(self.n_words):
+            mine = self.word == w
+            keys[..., w] = (digits[..., mine] << self.shift[mine]).sum(axis=-1)
+        return keys
+
+    def _digit(self, keys: np.ndarray, n) -> np.ndarray:
+        return (keys[:, self.word[n]] >> self.shift[n]) & self.mask[n]
+
+    def _fit(self, nodes: np.ndarray, top: np.ndarray) -> None:
+        """Widen the digits of ``nodes`` whose observed maxima ``top`` no
+        longer fit, re-encoding the states recorded so far."""
+        need = np.frexp(top.astype(float))[1]    # bits that hold top
+        over = need > self.bits[nodes]
+        if over.any():
+            digits = self._digit(self.keys, np.arange(self.n_nodes))
+            bits = self.bits.copy()
+            bits[nodes[over]] = need[over] + 1
+            self._layout(bits)
+            self.keys = self._encode(digits)
+
+    # -- sweep ---------------------------------------------------------------
+
+    def visit(self, nodes: np.ndarray, enter: np.ndarray, leave: np.ndarray,
+              done: np.ndarray) -> None:
+        """Record one hop's visits: +1 at entry, and -1 at exit for the
+        visits ``done`` by the horizon."""
+        self.batch.append((enter, nodes, 1))
+        self.batch.append((leave[done], nodes[done], -1))
+
+    def flush(self, cutoff: float) -> None:
+        """Sweep every recorded event before ``cutoff`` and carry the rest,
+        which later blocks may still precede."""
+        batch, self.batch = self.batch, []
+        t = np.concatenate([self.pending[0]] + [b[0] for b in batch])
+        n = np.concatenate([self.pending[1]] + [b[1] for b in batch])
+        s = np.concatenate([self.pending[2]] + [
+            np.full(b[0].size, b[2], dtype=np.int8) for b in batch])
+        del batch
+        # events at equal times bound only zero-width intervals, so their
+        # order does not matter
+        order = np.argsort(t)
+        t, n, s = t[order], n[order], s[order]
+        del order
+        cut = int(np.searchsorted(t, cutoff))
+        self.pending = (t[cut:].copy(), n[cut:].copy(), s[cut:].copy())
+        if cut:
+            self._sweep(t[:cut], n[:cut], s[:cut])
+
+    def _sweep(self, t: np.ndarray, n: np.ndarray, s: np.ndarray) -> None:
+        # each event's node occupancy just after it, from a running sum of
+        # the signs grouped by node (time order kept within a node)
+        by = n * t.size
+        by += np.arange(t.size)
+        by = by.argsort()
+        nb, sb = n[by], s[by]
+        count = np.bincount(nb, minlength=self.n_nodes)
+        seen = np.flatnonzero(count)
+        first = (np.cumsum(count) - count)[seen]
+        last = first + count[seen] - 1
+        after = np.cumsum(sb)
+        after -= np.repeat(after[first] - sb[first], count[seen])
+        after += self.occ[nb]
+        if self.joint:
+            self._fit(seen, np.maximum.reduceat(after, first))
+            final = after[last]
+            del by, nb, sb, after
+            # the interval ending at event i holds the state before it
+            delta = np.zeros((t.size, self.n_words), dtype=np.int64)
+            delta[np.arange(t.size), self.word[n]] = s * self.stride[n]
+            before = np.cumsum(delta, axis=0)
+            before -= delta
+            del delta
+            before += self._encode(self.occ)
+            starts = np.concatenate(([self.time], t[:-1]))
+            self._accumulate(before, starts, t)
+            self.time = t[-1]
+        else:
+            final = after[last]
+            tb = t[by]
+            starts = np.empty(t.size)
+            starts[1:] = tb[:-1]
+            starts[first] = self.node_time[seen]
+            after -= sb
+            after |= nb << 32
+            del by, sb
+            self._accumulate(after, starts, tb)
+            self.node_time[seen] = tb[last]
+        self.occ[seen] = final
+
+    def _accumulate(self, keys: np.ndarray, starts: np.ndarray,
+                    ends: np.ndarray) -> None:
+        """Add the intervals' clipped weights to the running histogram."""
+        weights = np.clip(ends, self.warmup, self.horizon)
+        weights -= np.clip(starts, self.warmup, self.horizon)
+        keep = weights > 0.0
+        keys = np.concatenate((self.keys, keys.reshape(keys.shape[0], -1)[keep]))
+        weights = np.concatenate((self.weights, weights[keep]))
+        del keep
+        if keys.shape[1] == 1:
+            order = keys[:, 0].argsort()
+        else:
+            order = np.lexsort(keys.T[::-1])
+        keys, weights = keys[order], weights[order]
+        del order
+        new = np.ones(keys.shape[0], dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        self.weights = np.bincount(np.cumsum(new) - 1, weights)
+        self.keys = keys[new]
+
+    def finish(self):
+        """Sweep the carried events and close every interval at the horizon;
+        returns (marginal weights, joint weights or None, final occupancy)."""
+        self.flush(math.inf)
+        n_nodes = self.n_nodes
+        if self.joint:
+            self._accumulate(self._encode(self.occ)[None], np.array([self.time]),
+                             np.array([self.horizon]))
+            marginals = []
+            for n in range(n_nodes):
+                sums = np.bincount(self._digit(self.keys, n), self.weights)
+                seen = np.flatnonzero(sums)
+                marginals.append(dict(zip(seen.tolist(), sums[seen].tolist())))
+            joint = {}
+            everyone = np.arange(n_nodes)
+            for i in range(0, self.keys.shape[0], _DECODE_ROWS):
+                rows = slice(i, i + _DECODE_ROWS)
+                states = self._digit(self.keys[rows], everyone).tolist()
+                joint.update(zip(map(tuple, states),
+                                 self.weights[rows].tolist()))
+        else:
+            self._accumulate((np.arange(n_nodes) << 32) | self.occ,
+                             self.node_time, np.full(n_nodes, self.horizon))
+            key = self.keys[:, 0]
+            bounds = np.searchsorted(key >> 32, np.arange(n_nodes + 1))
+            x = (key & 0xFFFFFFFF).tolist()
+            w = self.weights.tolist()
+            marginals = [dict(zip(x[a:b], w[a:b]))
+                         for a, b in zip(bounds[:-1], bounds[1:])]
+            joint = None
+        return tuple(marginals), joint, tuple(self.occ.tolist())
 
 
 def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResult:
     n_nodes = spec.n_nodes
     n_comp = spec.n_components
-    plans = _sampling_plan(spec)
-    routes = _route_tables(spec)
-    lam = spec.arrival_rates
-
+    shift, span, scale, power = _sampling_plan(spec)
+    drawn = (span > 0.0) | (scale > 0.0)
+    has_span = bool(span.any())
+    has_tail = bool(scale.any())
+    has_power = bool((power != 1.0).any())
+    thresholds, targets = _route_tables(spec)
+    lam = np.array(spec.arrival_rates, dtype=float)
+    total = float(lam.sum())
+    if total > 0.0:
+        entry_cdf = np.cumsum(lam) / total
+        entry_cdf[np.flatnonzero(lam)[-1]:] = 1.0
     horizon = cfg.horizon
-    warmup = cfg.warmup
-    random = rng.random
-    log1p = math.log1p
-    inf = math.inf
-    push = heapq.heappush
-    pop = heapq.heappop
 
-    state = [0] * n_nodes
-    joint: Optional[dict] = {} if cfg.record_joint else None
-    marg: Optional[list] = None if cfg.record_joint else [{} for _ in range(n_nodes)]
-    external = [0] * n_nodes
-    arrivals = [0] * n_nodes
-    departures = [[0] * n_comp for _ in range(n_nodes)]
+    external = np.zeros(n_nodes, dtype=np.int64)
+    arrivals = np.zeros(n_nodes, dtype=np.int64)
+    departures = np.zeros(n_nodes * n_comp, dtype=np.int64)
     ties = 0
-    seq = 0
-    heap: list = []
+    sweep = _Sweep(n_nodes, cfg)
+    clock = 0.0
+    while total > 0.0 and clock <= horizon:
+        u = rng.random((2, BLOCK))
+        gaps = -np.log1p(-u[0]) / total
+        gaps[0] += clock
+        t = np.cumsum(gaps)
+        clock = float(t[-1])
+        node = np.searchsorted(entry_cdf, u[1], side="right")
+        if clock > horizon:
+            inside = t <= horizon
+            t, node = t[inside], node[inside]
+        external += np.bincount(node, minlength=n_nodes)
 
-    def admit(j: int, now: float) -> None:
-        """New customer at node j: draw finite components in index order,
-        keep the strict minimum (first index wins a tie), schedule the
-        departure carrying the winning component."""
-        nonlocal seq, ties
-        arrivals[j] += 1
-        state[j] += 1
-        best = inf
-        best_k = -1
-        for k, kind, a, b in plans[j]:
-            if kind == 0:
-                s = -log1p(-random()) / a
-            elif kind == 1:
-                s = a
-            elif kind == 2:
-                s = a + random() * b
-            else:
-                s = a * (-log1p(-random())) ** b
-            if s < best:
-                best = s
-                best_k = k
-            elif s == best:
-                ties += 1
-        push(heap, (now + best, seq, j, best_k))
-        seq += 1
+        while t.size:
+            m = t.size
+            random = drawn[node]
+            draws = np.zeros((m, n_comp))
+            draws[random] = rng.random(int(np.count_nonzero(random)))
+            route = rng.random(m)
+            service = shift[node]
+            if has_span:
+                service += span[node] * draws
+            if has_tail:
+                tail = -np.log1p(-draws)
+                if has_power:
+                    tail **= power[node]
+                service += scale[node] * tail
+            k = service.argmin(axis=1)
+            best = service[np.arange(m), k]
+            level = service == best[:, None]
+            if np.count_nonzero(level) > m:
+                ties += int(np.count_nonzero(level.sum(axis=1) > 1))
+            exit_time = t + best
+            done = exit_time <= horizon
+            row = node * n_comp + k
+            arrivals += np.bincount(node, minlength=n_nodes)
+            departures += np.bincount(row[done], minlength=n_nodes * n_comp)
+            sweep.visit(node, t, exit_time, done)
+            step = (thresholds[row] <= route[:, None]).sum(axis=1)
+            node = targets[row, step]
+            stay = done & (node < n_nodes)
+            t, node = exit_time[stay], node[stay]
+        sweep.flush(clock)
 
-    for n in range(n_nodes):
-        if lam[n] > 0.0:
-            push(heap, (-log1p(-random()) / lam[n], seq, n, -1))
-            seq += 1
-
-    t_last = 0.0
-    while heap:
-        t, _, n, k = pop(heap)
-        if t > horizon:
-            break
-        if t > warmup:
-            a = t_last if t_last > warmup else warmup
-            dt = t - a
-            if dt > 0.0:
-                if joint is not None:
-                    key = tuple(state)
-                    joint[key] = joint.get(key, 0.0) + dt
-                else:
-                    for i in range(n_nodes):
-                        mi = marg[i]
-                        x = state[i]
-                        mi[x] = mi.get(x, 0.0) + dt
-        t_last = t
-        if k < 0:
-            push(heap, (t + -log1p(-random()) / lam[n], seq, n, -1))
-            seq += 1
-            external[n] += 1
-            admit(n, t)
-        else:
-            state[n] -= 1
-            departures[n][k] += 1
-            u = random()
-            for c, m in routes[n][k]:
-                if u < c:
-                    admit(m, t)
-                    break
-            # falling through: exits the network
-
-    a = t_last if t_last > warmup else warmup
-    dt = horizon - a
-    if dt > 0.0:
-        if joint is not None:
-            key = tuple(state)
-            joint[key] = joint.get(key, 0.0) + dt
-        else:
-            for i in range(n_nodes):
-                mi = marg[i]
-                x = state[i]
-                mi[x] = mi.get(x, 0.0) + dt
-
-    duration = horizon - warmup
-    if joint is not None:
-        joint = {key: joint[key] for key in sorted(joint)}
-        marg = [{} for _ in range(n_nodes)]
-        for key, w in joint.items():
-            for i, x in enumerate(key):
-                mi = marg[i]
-                mi[x] = mi.get(x, 0.0) + w
-    marginals = tuple(dict(sorted(m.items())) for m in marg)
+    marginals, joint, final = sweep.finish()
+    duration = horizon - cfg.warmup
     means = np.array([
         sum(x * w for x, w in marginals[n].items()) / duration
         for n in range(n_nodes)
     ])
     counts = EventCounts(
-        external=np.array(external, dtype=np.int64),
-        arrivals=np.array(arrivals, dtype=np.int64),
-        departures=np.array(departures, dtype=np.int64).reshape(n_nodes, n_comp),
+        external=external,
+        arrivals=arrivals,
+        departures=departures.reshape(n_nodes, n_comp),
     )
     return SimResult(
         marginal_weights=marginals,
@@ -274,7 +466,7 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
         means=means,
         event_counts=counts,
         effective_duration=duration,
-        final_occupancy=tuple(state),
+        final_occupancy=final,
         ties=ties,
         config=cfg,
     )

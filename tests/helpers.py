@@ -1,8 +1,8 @@
 """Shared test utilities: an independent Monte Carlo oracle for minimum
-statistics, a reference Poisson pmf, the loop assembly of the traffic and
-expanded-network systems as a reference for the vectorised one, samplers
-and the joint pmf of the exact solution, and random network generators for
-property checks."""
+statistics, a single-draw inverse-transform sampler, a reference Poisson
+pmf, the loop assembly of the traffic and expanded-network systems as a
+reference for the vectorised one, samplers and the joint pmf of the exact
+solution, and random network generators for property checks."""
 
 import math
 
@@ -19,7 +19,23 @@ from deadlinenet import (
     validate,
 )
 from deadlinenet.analytic import TrafficSolution, _solve_open
-from deadlinenet.distributions import sample
+
+
+def sample(d, rng):
+    """One draw from ``d`` by inverse transform of one uniform of ``rng``
+    (none for a deterministic law), for single-draw checks."""
+    if isinstance(d, Deterministic):
+        return d.value
+    if isinstance(d, Infinite):
+        raise ValueError("an infinite component is never sampled")
+    u = rng.random()
+    if isinstance(d, Exponential):
+        return -math.log1p(-u) / d.rate
+    if isinstance(d, Uniform):
+        return d.lo + u * (d.hi - d.lo)
+    if isinstance(d, Weibull):
+        return d.scale * (-math.log1p(-u)) ** (1.0 / d.shape)
+    raise TypeError(f"unknown distribution {d!r}")
 
 
 def poisson_pmf(x, rho):

@@ -24,11 +24,10 @@ from deadlinenet.distributions import (
     _tail_time,
     density,
     mean,
-    sample,
     survival,
 )
 
-from helpers import mc_min_stats, random_component
+from helpers import mc_min_stats, random_component, sample
 
 E_INV = math.exp(-1.0)  # P(unit exponential exceeds a unit deadline)
 
@@ -254,6 +253,17 @@ def test_unresolvable_singularity_names_node_and_component():
     spec = NetworkSpec(nodes=(steady, spiky), arrival_rates=(1.0, 1.0))
     with pytest.raises(QuadratureError, match="node 2 component 2"):
         compute_min_stats(spec)
+
+
+def test_unresolved_weibull_race_raises():
+    # min of Weibull(0.1, 1) and Weibull(0.1, 2) has mean 10! / (1 +
+    # 2^-0.1)^10 = 4981.6 and p_1 = 0.517; without the accuracy bound the
+    # kernel would return 6.3e-5 and 6.8e-18
+    race = (Weibull(0.1, 1.0), Weibull(0.1, 2.0))
+    with pytest.raises(QuadratureError):
+        expected_min(race)
+    with pytest.raises(QuadratureError):
+        min_probability(race, 0)
 
 
 def _scipy_min_stats(components):

@@ -1,22 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from deadlinenet import (
+    Deterministic,
     Exponential,
     InvalidNetworkError,
     NetworkSpec,
     NodeSpec,
     SimConfig,
     compute_min_stats,
+    product_form,
     replicate,
     simulate,
     total_variation,
     two_node_deadline_example,
 )
 
-from helpers import poisson_pmf
+from helpers import poisson_pmf, random_general_network
 
 CFG = SimConfig(seed=7, horizon=3_000.0, warmup=300.0)
 
@@ -72,7 +75,7 @@ def test_customer_conservation(example_run):
     assert np.array_equal(left, right)
     # stage 2 is fed only by stage-1 task completions
     assert counts.external[1] == 0
-    assert counts.routed[1] == counts.departures[0, 0]
+    assert counts.arrivals[1] - counts.external[1] == counts.departures[0, 0]
 
 
 def test_time_weight_accounting(example_run):
@@ -150,6 +153,78 @@ def test_joint_recording_optional():
         assert set(a) == set(b)
         for x in a:
             assert a[x] == pytest.approx(b[x], rel=1e-9)
+
+
+def assert_same_trajectories(spec, cfg):
+    """Runs with and without the joint histogram draw the same stream: the
+    counts agree exactly and the histograms up to summation order."""
+    with_joint = simulate(spec, cfg)
+    without = simulate(spec, dataclasses.replace(cfg, record_joint=False))
+    assert without.joint_weights is None
+    for name in ("external", "arrivals", "departures"):
+        assert np.array_equal(getattr(with_joint.event_counts, name),
+                              getattr(without.event_counts, name))
+    assert with_joint.final_occupancy == without.final_occupancy
+    assert with_joint.ties == without.ties
+    np.testing.assert_allclose(without.means, with_joint.means,
+                               rtol=1e-12, atol=0.0)
+    for a, b in zip(without.marginal_weights, with_joint.marginal_weights):
+        assert list(a) == list(b)
+        np.testing.assert_allclose(list(a.values()), list(b.values()),
+                                   rtol=1e-12, atol=0.0)
+    return with_joint, without
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_recording_does_not_touch_the_stream(seed):
+    spec = random_general_network(np.random.default_rng(seed))
+    assert_same_trajectories(
+        spec, SimConfig(seed=seed, horizon=2_000.0, warmup=200.0))
+
+
+def test_sojourns_spanning_many_blocks():
+    # an exp(1e-3) task against a 2000 deadline at 10 arrivals per unit
+    # time: a sojourn of ~865 spans ~8 blocks of 1024 arrivals
+    node = NodeSpec(components=(Exponential(1e-3), Deterministic(2000.0)),
+                    routing=((0.0,), (0.0,)))
+    spec = NetworkSpec(nodes=(node,), arrival_rates=(10.0,))
+    cfg = SimConfig(seed=3, horizon=6_000.0, warmup=2_500.0)
+    res, _ = assert_same_trajectories(spec, cfg)
+    counts = res.event_counts
+    assert counts.arrivals[0] > 50_000
+    assert (counts.arrivals - counts.departures.sum(axis=1)
+            == np.array(res.final_occupancy)).all()
+    duration = cfg.horizon - cfg.warmup
+    assert sum(res.joint_weights.values()) == pytest.approx(duration,
+                                                            rel=1e-12)
+    assert sum(res.marginal_weights[0].values()) == pytest.approx(
+        duration, rel=1e-12)
+    # mean occupancy 10 * 1000 * (1 - e^-2) ~ 8647, sd of the time average
+    # well under 100
+    assert res.means[0] == pytest.approx(product_form(spec).rho[0], rel=0.05)
+
+
+def test_joint_of_a_long_chain_needs_several_key_words():
+    # 70 exponential nodes in series: at least one bit per node, so the
+    # joint state cannot be one int64 mixed-radix key
+    n_nodes = 70
+    nodes = tuple(
+        NodeSpec(components=(Exponential(1.0),),
+                 routing=(tuple(1.0 if m == n + 1 else 0.0
+                                for m in range(n_nodes)),))
+        for n in range(n_nodes))
+    spec = NetworkSpec(nodes=nodes,
+                       arrival_rates=(1.0,) + (0.0,) * (n_nodes - 1))
+    res, _ = assert_same_trajectories(
+        spec, SimConfig(seed=4, horizon=120.0, warmup=80.0))
+    states = np.array(list(res.joint_weights))
+    assert math.prod(int(top) + 1 for top in states.max(axis=0)) > 2**63
+    assert list(res.joint_weights) == sorted(res.joint_weights)
+    derived = [{} for _ in range(n_nodes)]
+    for state, w in res.joint_weights.items():
+        for n, x in enumerate(state):
+            derived[n][x] = derived[n].get(x, 0.0) + w
+    assert derived == list(res.marginal_weights)
 
 
 def test_replicate_single_run_is_pooled():
