@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import MinStats, compute_min_stats, mean as dist_mean
+from .distributions import MinStats, compute_min_stats
 from .errors import InfiniteMeanError, OpennessError
-from .model import Infinite, NetworkSpec, route_tensor
+from .model import NetworkSpec, route_tensor
 
 __all__ = [
     "TrafficSolution",
@@ -130,10 +130,6 @@ class ProductForm:
 
     rho: np.ndarray
     traffic: TrafficSolution
-
-    def marginal(self, n: int, x: int) -> float:
-        """P(X_n = x)."""
-        return float(_poisson_pmf(x, float(self.rho[n])))
 
     def truncation(self, n: int) -> int:
         """Support bound used for tables and metrics; the tail mass beyond
@@ -246,16 +242,18 @@ class BaselineResult:
 
 
 def _component_rates(spec: NetworkSpec) -> np.ndarray:
-    """Reciprocal means per (node, component); Infinite components are a
-    contract violation for the baseline methods."""
+    """Reciprocal means per (node, component); a component whose mean is
+    not finite (an Infinite one, or a heavy-tailed law) is a contract
+    violation for the baseline methods."""
     rates = np.zeros((spec.n_nodes, spec.n_components))
     for n, node in enumerate(spec.nodes):
         for k, comp in enumerate(node.components):
-            if isinstance(comp, Infinite):
+            mean = comp.mean()
+            if not math.isfinite(mean):
                 raise InfiniteMeanError(
                     f"baseline methods need finite means; component "
                     f"{k + 1} of node {n + 1} is infinite")
-            rates[n, k] = 1.0 / dist_mean(comp)
+            rates[n, k] = 1.0 / mean
     return rates
 
 

@@ -40,20 +40,10 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args
 
 from .errors import ConfigError, InvalidNetworkError
-from .model import (
-    Deterministic,
-    Exponential,
-    Infinite,
-    NetworkSpec,
-    NodeSpec,
-    ServiceDistribution,
-    Uniform,
-    Weibull,
-    validate,
-)
+from .model import NetworkSpec, NodeSpec, ServiceDistribution, validate
 from .simulate import SimConfig
 
 __all__ = [
@@ -73,13 +63,8 @@ _BOOLEAN = {"1": True, "yes": True, "true": True, "on": True,
 
 _DIST_RE = re.compile(r"^([a-z]+)\s*(?:\((.*)\))?$")
 
-# distribution name -> (constructor, parameter names in positional order)
-_DIST_FORMS = {
-    "exp": (Exponential, ("rate",)),
-    "det": (Deterministic, ("value",)),
-    "uniform": (Uniform, ("lo", "hi")),
-    "weibull": (Weibull, ("shape", "scale")),
-}
+# scenario token name -> law class
+_LAWS = {law.name: law for law in get_args(ServiceDistribution)}
 
 
 @dataclass(frozen=True)
@@ -138,13 +123,14 @@ def _parse_distribution(section: str, key: str, token: str) -> ServiceDistributi
     if not match:
         raise _fail(section, key, f"bad distribution token {token!r}")
     name, argtext = match.groups()
-    if name == "inf":
-        if argtext:
-            raise _fail(section, key, "inf takes no parameters")
-        return Infinite()
-    if name not in _DIST_FORMS:
+    if name not in _LAWS:
         raise _fail(section, key, f"unknown distribution {name!r}")
-    ctor, params = _DIST_FORMS[name]
+    law = _LAWS[name]
+    params = law.params()
+    if not params:
+        if argtext:
+            raise _fail(section, key, f"{name} takes no parameters")
+        return law()
     values: dict[str, float] = {}
     args = [a.strip() for a in argtext.split(",")] if argtext else []
     for pos, arg in enumerate(args):
@@ -165,7 +151,7 @@ def _parse_distribution(section: str, key: str, token: str) -> ServiceDistributi
         raise _fail(section, key,
                     f"{name} needs parameters {', '.join(params)}")
     try:
-        return ctor(**values)
+        return law(**values)
     except ValueError as exc:
         raise _fail(section, key, str(exc)) from None
 
@@ -320,20 +306,6 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(Path(path).read_text())
 
 
-def _render_distribution(d: ServiceDistribution) -> str:
-    if isinstance(d, Exponential):
-        return f"exp(rate={d.rate!r})"
-    if isinstance(d, Deterministic):
-        return f"det(value={d.value!r})"
-    if isinstance(d, Uniform):
-        return f"uniform({d.lo!r}, {d.hi!r})"
-    if isinstance(d, Weibull):
-        return f"weibull({d.shape!r}, {d.scale!r})"
-    if isinstance(d, Infinite):
-        return "inf"
-    raise TypeError(f"unknown distribution {d!r}")
-
-
 def render_scenario(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse_scenario(render_scenario(cfg)) == cfg."""
     spec = cfg.network
@@ -342,7 +314,7 @@ def render_scenario(cfg: ScenarioConfig) -> str:
              f"components = {spec.n_components}",
              "arrivals = " + ", ".join(repr(r) for r in spec.arrival_rates)]
     for i, node in enumerate(spec.nodes, start=1):
-        comps = ", ".join(_render_distribution(d) for d in node.components)
+        comps = ", ".join(d.token() for d in node.components)
         lines.append(f"node{i}.components = {comps}")
         for k, row in enumerate(node.routing, start=1):
             entries = ", ".join(f"{m}: {q!r}"

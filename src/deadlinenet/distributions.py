@@ -1,22 +1,25 @@
-"""Service-time numerics: survival/density/mean/sampling for each law, and
-the competing-minimum statistics the equilibrium solver consumes — for each
-(node, component): the probability that the component achieves the minimum
-and the component's mean given that it did.
+"""The competing-minimum statistics the equilibrium solver consumes — for
+each (node, component): the probability that the component achieves the
+minimum and the component's mean given that it did. Each law's own
+formulas (survival, mean, support, tail) live on its class in ``model``.
 
-Closed forms cover a race with one finite component, a deterministic component (a product of the others' survival
-at its atom), and races whose laws are all exponential or deterministic
-(the minimum of the exponentials is exponential, cut off at the earliest
-deadline). Every other race is integrated numerically. Its integrands are
-products of survival functions, which are piecewise smooth with jumps at
-deterministic atoms and kinks at uniform endpoints, so the range is split
-at those points into panels, truncated where the survival product is
-numerically extinct (every truncation bound has a closed form), and each
-panel is integrated by an adaptive Gauss–Kronrod G7/K15 rule (QUADPACK,
-Piessens et al. 1983). The rule runs on all races at once: every integrand
-of a race shares one set of 15 nodes per panel, and only the panels whose
-K15 and G7 estimates disagree are split: halved, or cut geometrically when
-they start at 0, which resolves the t^(shape-1) singularity there of a
-Weibull law with shape < 1.
+Closed forms cover a race with one finite component, a deterministic
+component (a product of the others' survival at its atom), and races whose
+laws are all exponential or deterministic (the minimum of the exponentials
+is exponential, cut off at the earliest deadline). Every other race is
+integrated numerically. Its integrands are products of survival functions,
+which are piecewise smooth with jumps at deterministic atoms and kinks at
+uniform endpoints, so the range is split at those points into panels,
+truncated where the survival product is numerically extinct (every
+truncation bound has a closed form), and each panel is integrated by an
+adaptive Gauss–Kronrod G7/K15 rule (QUADPACK, Piessens et al. 1983). The
+rule runs on all races at once: every integrand of a race shares one set of
+15 nodes per panel, and only the panels whose K15 and G7 estimates disagree
+are split: halved, or cut geometrically when they start at 0, which
+resolves the t^(shape-1) singularity there of a Weibull law with shape < 1.
+A race whose statistics are not finite (its only finite component has an
+infinite mean, or no component's survival falls to the truncation level
+within the float range) raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -32,17 +35,11 @@ from .model import (
     Exponential,
     Infinite,
     NetworkSpec,
-    ServiceDistribution,
-    Uniform,
-    Weibull,
     structural_violations,
 )
 
 __all__ = [
     "MinStats",
-    "survival",
-    "density",
-    "mean",
     "min_probability",
     "conditional_mean_given_min",
     "expected_min",
@@ -87,79 +84,6 @@ _W15 = np.array(_WGK + _WGK[-2::-1])
 _W7 = np.array(_WG + _WG[-2::-1])  # weights at _X15[1::2]
 
 
-def survival(d: ServiceDistribution, t: float) -> float:
-    """P(d > t) for t >= 0."""
-    if isinstance(d, Exponential):
-        return math.exp(-d.rate * t)
-    if isinstance(d, Deterministic):
-        return 1.0 if t < d.value else 0.0
-    if isinstance(d, Uniform):
-        if t < d.lo:
-            return 1.0
-        if t >= d.hi:
-            return 0.0
-        return (d.hi - t) / (d.hi - d.lo)
-    if isinstance(d, Weibull):
-        return math.exp(-((t / d.scale) ** d.shape))
-    if isinstance(d, Infinite):
-        return 1.0
-    raise TypeError(f"unknown distribution {d!r}")
-
-
-def density(d: ServiceDistribution, t: float) -> float:
-    """Density at t for the atomless laws; only evaluated at t > 0."""
-    if isinstance(d, Exponential):
-        return d.rate * math.exp(-d.rate * t)
-    if isinstance(d, Uniform):
-        if d.lo <= t < d.hi:
-            return 1.0 / (d.hi - d.lo)
-        return 0.0
-    if isinstance(d, Weibull):
-        if t <= 0:
-            return 0.0
-        z = t / d.scale
-        return (d.shape / d.scale) * z ** (d.shape - 1) * math.exp(-(z ** d.shape))
-    raise TypeError(f"{type(d).__name__} has no density")
-
-
-def mean(d: ServiceDistribution) -> float:
-    if isinstance(d, Exponential):
-        return 1.0 / d.rate
-    if isinstance(d, Deterministic):
-        return d.value
-    if isinstance(d, Uniform):
-        return 0.5 * (d.lo + d.hi)
-    if isinstance(d, Weibull):
-        return d.scale * math.gamma(1.0 + 1.0 / d.shape)
-    if isinstance(d, Infinite):
-        return math.inf
-    raise TypeError(f"unknown distribution {d!r}")
-
-
-def _tail_time(d: ServiceDistribution, eps: float) -> float:
-    """Smallest t with survival(d, t) <= eps (inf for Infinite)."""
-    if isinstance(d, Exponential):
-        return -math.log(eps) / d.rate
-    if isinstance(d, Deterministic):
-        return d.value
-    if isinstance(d, Uniform):
-        return d.hi
-    if isinstance(d, Weibull):
-        return d.scale * (-math.log(eps)) ** (1.0 / d.shape)
-    if isinstance(d, Infinite):
-        return math.inf
-    raise TypeError(f"unknown distribution {d!r}")
-
-
-def _kinks(d: ServiceDistribution) -> tuple[float, ...]:
-    """Interior points where survival or density is not smooth."""
-    if isinstance(d, Deterministic):
-        return (d.value,)
-    if isinstance(d, Uniform):
-        return (d.lo, d.hi)
-    return ()
-
-
 def _truncated_exp_mean(x: float) -> float:
     """E[E | E < x] for a unit-rate exponential E: 1 - x / (e^x - 1), by its
     Bernoulli series where the direct form would cancel."""
@@ -171,29 +95,10 @@ def _truncated_exp_mean(x: float) -> float:
 
 
 def _law_table(races) -> tuple[np.ndarray, ...]:
-    """Parameters (shape, scale, lo, hi, 1 / (hi - lo)) of every race's
-    atomless laws, each as a (races, K) array.
-
-    An exponential is the Weibull law with shape 1 and scale 1/rate. A slot
-    that is not of Weibull type has infinite scale, and one that is not
-    uniform has lo = inf; each makes its factor neutral (survival 1,
-    density 0), so deterministic and infinite slots contribute nothing.
-    """
-    shape = np.ones((len(races), len(races[0])))
-    scale = np.full_like(shape, np.inf)
-    lo = np.full_like(shape, np.inf)
-    hi = np.zeros_like(shape)
-    inv_width = np.zeros_like(shape)
-    for r, comps in enumerate(races):
-        for k, c in enumerate(comps):
-            if isinstance(c, Exponential):
-                scale[r, k] = 1.0 / c.rate
-            elif isinstance(c, Weibull):
-                shape[r, k], scale[r, k] = c.shape, c.scale
-            elif isinstance(c, Uniform):
-                lo[r, k], hi[r, k] = c.lo, c.hi
-                inv_width[r, k] = 1.0 / (c.hi - c.lo)
-    return shape, scale, lo, hi, inv_width
+    """The quadrature rows (shape, scale, lo, hi, 1 / (hi - lo)) of every
+    race's laws, each column as a (races, K) array."""
+    table = np.array([[c.quadrature_row() for c in comps] for comps in races])
+    return tuple(np.moveaxis(table, 2, 0))
 
 
 def _integrands(laws, upper, race, u) -> np.ndarray:
@@ -267,22 +172,25 @@ def _race_stats(races, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.zeros((n_races, n_comp))
     cond = np.full((n_races, n_comp), np.inf)
     mean_min = np.full(n_races, np.inf)
-    quad = []
+    quad = {}
     for r, comps in enumerate(races):
         finite = [(k, c) for k, c in enumerate(comps) if not isinstance(c, Infinite)]
         if len(finite) == 1:
             k, c = finite[0]
             p[r, k] = 1.0
-            cond[r, k] = mean_min[r] = mean(c)
+            cond[r, k] = mean_min[r] = c.mean()
+            if not math.isfinite(mean_min[r]):
+                raise QuadratureError(
+                    f"mean of {labels[r]} component {k + 1} is not finite")
             continue
         for k, c in finite:
             if isinstance(c, Deterministic):
-                p[r, k] = math.prod(survival(o, c.value) for j, o in finite if j != k)
+                p[r, k] = math.prod(o.survival(c.value) for j, o in finite if j != k)
                 cond[r, k] = c.value
         if all(isinstance(c, (Exponential, Deterministic)) for _, c in finite):
             mean_min[r] = _exp_deadline_race(finite, p[r], cond[r])
         else:
-            quad.append(r)
+            quad[r] = finite
     if quad:
         _quadrature(races, quad, labels, p, cond, mean_min)
     return p, cond, mean_min
@@ -306,16 +214,22 @@ def _exp_deadline_race(finite, p_row, cond_row) -> float:
     return fired / total
 
 
-def _quadrature(races, rows, labels, p, cond, mean_min) -> None:
-    """Integrate the races at ``rows`` and fill their entries of p, cond
-    and mean_min for the atomless components."""
+def _quadrature(races, finite, labels, p, cond, mean_min) -> None:
+    """Integrate the races whose rows are the keys of ``finite``, which
+    maps each to its finite (k, law) pairs, and fill their entries of p,
+    cond and mean_min for the atomless components."""
     n_comp = p.shape[1]
+    rows = list(finite)
     upper = np.empty(len(rows))
     edges = []
     for q, r in enumerate(rows):
-        finite = [c for c in races[r] if not isinstance(c, Infinite)]
-        upper[q] = min(_tail_time(c, _TAIL_EPS) for c in finite)
-        cuts = sorted({t for c in finite for t in _kinks(c) if 0.0 < t < upper[q]})
+        laws = [c for _, c in finite[r]]
+        upper[q] = min(c.tail_time(_TAIL_EPS) for c in laws)
+        if not math.isfinite(upper[q]):
+            raise QuadratureError(
+                f"integration range for {labels[r]} is not finite: no "
+                f"component's survival falls to {_TAIL_EPS:.0e} at a finite time")
+        cuts = sorted({t for c in laws for t in c.support() if 0.0 < t < upper[q]})
         edges.append(np.array([0.0, *cuts, upper[q]]) / upper[q])
     race = np.concatenate([np.full(len(e) - 1, q) for q, e in enumerate(edges)])
     a = np.concatenate([e[:-1] for e in edges])
@@ -333,8 +247,8 @@ def _quadrature(races, rows, labels, p, cond, mean_min) -> None:
             f"integral for {labels[rows[q]]} {_integral_name(m, n_comp)} "
             f"reached accuracy {errors[q, m]:.3e} (required {_QUAD_TOL:.0e})")
     for q, r in enumerate(rows):
-        for k, c in enumerate(races[r]):
-            if isinstance(c, (Exponential, Uniform, Weibull)):
+        for k, c in finite[r]:
+            if not isinstance(c, Deterministic):
                 p[r, k] = totals[q, 1 + k]
                 if p[r, k] > 0:
                     cond[r, k] = upper[q] * totals[q, 1 + n_comp + k] / p[r, k]

@@ -24,7 +24,8 @@ class OpennessError(DeadlinenetError, RuntimeError):
 
 
 class QuadratureError(DeadlinenetError, RuntimeError):
-    """A numerical integral failed to reach the required accuracy."""
+    """A numerical integral failed to reach the required accuracy, or a
+    node's race statistics are not finite."""
 
 
 class InfiniteMeanError(DeadlinenetError, ValueError):

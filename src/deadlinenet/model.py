@@ -12,8 +12,8 @@ arrays stay rectangular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -41,10 +41,53 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+class _Law:
+    """Base of the service-time laws; each law class holds all of its own
+    formulas:
+
+    - ``mean()``;
+    - ``survival(t)``, P(S > t) for t >= 0;
+    - ``support()``, the closed support [lower, upper]: its finite ends are
+      the only points where the survival function is not smooth, and a law
+      whose lower end is inf never fires;
+    - ``tail_time(eps)``, the smallest t with survival(t) <= eps;
+    - ``quadrature_row()``, its factor of the race integrands;
+    - ``sampling_row()``, the coefficients (shift, span, scale, power) of
+      its inverse transform shift + span * u + scale * (-log(1 - u)) **
+      power of a uniform u;
+    - ``name`` and ``token()``, its scenario token.
+    """
+
+    name: ClassVar[str]
+
+    @classmethod
+    def params(cls) -> tuple[str, ...]:
+        """Parameter names of the scenario token, in positional order."""
+        return tuple(f.name for f in fields(cls))
+
+    def token(self) -> str:
+        """Canonical scenario token: a law with one parameter names it, a
+        law with several lists them in order, and one with none is bare."""
+        names = self.params()
+        values = [repr(getattr(self, p)) for p in names]
+        if len(names) == 1:
+            values = [f"{names[0]}={values[0]}"]
+        return f"{self.name}({', '.join(values)})" if names else self.name
+
+    def quadrature_row(self) -> tuple[float, float, float, float, float]:
+        """(shape, scale, lo, hi, 1 / (hi - lo)): the race integrands'
+        factor exp(-(t / scale)^shape) times a uniform factor that is 1
+        before lo and falls linearly to 0 at hi. A law with no density (an
+        atom, or a component that never fires) keeps this neutral row,
+        whose factor is 1 and whose density is 0."""
+        return 1.0, math.inf, math.inf, 0.0, 0.0
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     """Exponential law with the given rate (events per unit time)."""
 
+    name: ClassVar[str] = "exp"
     rate: float
 
     def __post_init__(self):
@@ -52,11 +95,30 @@ class Exponential:
         _require(self.rate > 0 and math.isfinite(self.rate),
                  f"exponential rate must be positive and finite, got {self.rate}")
 
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    def survival(self, t: float) -> float:
+        return math.exp(-self.rate * t)
+
+    def support(self) -> tuple[float, float]:
+        return 0.0, math.inf
+
+    def tail_time(self, eps: float) -> float:
+        return -math.log(eps) / self.rate
+
+    def quadrature_row(self) -> tuple[float, float, float, float, float]:
+        return 1.0, 1.0 / self.rate, math.inf, 0.0, 0.0
+
+    def sampling_row(self) -> tuple[float, float, float, float]:
+        return 0.0, 0.0, 1.0 / self.rate, 1.0
+
 
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(_Law):
     """Point mass at a fixed positive duration (a hard deadline)."""
 
+    name: ClassVar[str] = "det"
     value: float
 
     def __post_init__(self):
@@ -64,11 +126,27 @@ class Deterministic:
         _require(self.value > 0 and math.isfinite(self.value),
                  f"deterministic value must be positive and finite, got {self.value}")
 
+    def mean(self) -> float:
+        return self.value
+
+    def survival(self, t: float) -> float:
+        return 1.0 if t < self.value else 0.0
+
+    def support(self) -> tuple[float, float]:
+        return self.value, self.value
+
+    def tail_time(self, eps: float) -> float:
+        return self.value
+
+    def sampling_row(self) -> tuple[float, float, float, float]:
+        return self.value, 0.0, 0.0, 1.0
+
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     """Uniform law on [lo, hi), 0 <= lo < hi."""
 
+    name: ClassVar[str] = "uniform"
     lo: float
     hi: float
 
@@ -80,11 +158,34 @@ class Uniform:
         _require(self.hi > self.lo and math.isfinite(self.hi),
                  f"uniform hi must exceed lo, got lo={self.lo} hi={self.hi}")
 
+    def mean(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    def survival(self, t: float) -> float:
+        if t < self.lo:
+            return 1.0
+        if t >= self.hi:
+            return 0.0
+        return (self.hi - t) / (self.hi - self.lo)
+
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
+
+    def tail_time(self, eps: float) -> float:
+        return self.hi
+
+    def quadrature_row(self) -> tuple[float, float, float, float, float]:
+        return 1.0, math.inf, self.lo, self.hi, 1.0 / (self.hi - self.lo)
+
+    def sampling_row(self) -> tuple[float, float, float, float]:
+        return self.lo, self.hi - self.lo, 0.0, 1.0
+
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_Law):
     """Weibull law with the given shape and scale."""
 
+    name: ClassVar[str] = "weibull"
     shape: float
     scale: float
 
@@ -96,13 +197,58 @@ class Weibull:
         _require(self.scale > 0 and math.isfinite(self.scale),
                  f"weibull scale must be positive and finite, got {self.scale}")
 
+    def mean(self) -> float:
+        """scale * Gamma(1 + 1/shape); inf where that overflows (shape
+        below about 0.0058)."""
+        try:
+            return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        except OverflowError:
+            return math.inf
+
+    def survival(self, t: float) -> float:
+        return math.exp(-((t / self.scale) ** self.shape))
+
+    def support(self) -> tuple[float, float]:
+        return 0.0, math.inf
+
+    def tail_time(self, eps: float) -> float:
+        """inf where the closed form overflows (very small shapes)."""
+        try:
+            return self.scale * (-math.log(eps)) ** (1.0 / self.shape)
+        except OverflowError:
+            return math.inf
+
+    def quadrature_row(self) -> tuple[float, float, float, float, float]:
+        return self.shape, self.scale, math.inf, 0.0, 0.0
+
+    def sampling_row(self) -> tuple[float, float, float, float]:
+        return 0.0, 0.0, self.scale, 1.0 / self.shape
+
 
 @dataclass(frozen=True)
-class Infinite:
+class Infinite(_Law):
     """A component that never fires: survival is identically 1.
 
-    Used to pad nodes with fewer than K real components; never sampled.
+    Used to pad nodes with fewer than K real components. Its inverse
+    transform is the constant inf, which takes no uniform and never wins.
     """
+
+    name: ClassVar[str] = "inf"
+
+    def mean(self) -> float:
+        return math.inf
+
+    def survival(self, t: float) -> float:
+        return 1.0
+
+    def support(self) -> tuple[float, float]:
+        return math.inf, math.inf
+
+    def tail_time(self, eps: float) -> float:
+        return math.inf
+
+    def sampling_row(self) -> tuple[float, float, float, float]:
+        return math.inf, 0.0, 0.0, 1.0
 
 
 ServiceDistribution = Union[Exponential, Deterministic, Uniform, Weibull, Infinite]
@@ -222,11 +368,13 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
                 report.append(Violation(
                     ROW_NOT_SUBSTOCHASTIC, rwhere,
                     f"routing row sums to {sum(row)} > 1"))
-        if all(isinstance(c, Infinite) for c in node.components):
+        bounds = [c.support() for c in node.components]
+        if all(lo == math.inf for lo, _ in bounds):
             report.append(Violation(
                 ALL_COMPONENTS_INFINITE, where,
                 "at least one component must be finite"))
-        atoms = [c.value for c in node.components if isinstance(c, Deterministic)]
+        # a finite point mass: a deterministic deadline
+        atoms = [lo for lo, hi in bounds if lo == hi < math.inf]
         if len(atoms) != len(set(atoms)):
             report.append(Violation(
                 TIE_PROBABILITY_POSITIVE, where,
@@ -234,25 +382,11 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
     return report
 
 
-def _support(d: ServiceDistribution) -> tuple[float, float]:
-    """Closed support [lower, upper] of a law. An Infinite component never
-    fires, so its support is the point +inf."""
-    if isinstance(d, (Exponential, Weibull)):
-        return 0.0, math.inf
-    if isinstance(d, Deterministic):
-        return d.value, d.value
-    if isinstance(d, Uniform):
-        return d.lo, d.hi
-    if isinstance(d, Infinite):
-        return math.inf, math.inf
-    raise TypeError(f"unknown distribution {d!r}")
-
-
 def can_win(node: NodeSpec) -> tuple[bool, ...]:
     """Whether each component achieves the node's minimum with positive
     probability: its support starts below the upper end of every other
     component's support."""
-    bounds = [_support(c) for c in node.components]
+    bounds = [c.support() for c in node.components]
     return tuple(
         lo < min((hi for j, (_, hi) in enumerate(bounds) if j != k),
                  default=math.inf)

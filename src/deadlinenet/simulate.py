@@ -41,14 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidNetworkError
-from .model import (
-    Deterministic,
-    Exponential,
-    NetworkSpec,
-    Uniform,
-    Weibull,
-    structural_violations,
-)
+from .model import NetworkSpec, structural_violations
 
 __all__ = [
     "SimConfig",
@@ -133,29 +126,12 @@ class SimResult:
 def _sampling_plan(spec: NetworkSpec) -> np.ndarray:
     """Law table of shape (4, N, K): for each (node, component) the
     coefficients (shift, span, scale, power) of its inverse transform
-    shift + span * u + scale * (-log(1 - u)) ** power of a uniform u.
-
-    exp(rate) is (0, 0, 1/rate, 1), det(value) is (value, 0, 0, 1),
-    uniform(lo, hi) is (lo, hi - lo, 0, 1), weibull(shape, scale) is
-    (0, 0, scale, 1/shape), and an infinite component is (inf, 0, 0, 1),
+    shift + span * u + scale * (-log(1 - u)) ** power of a uniform u (see
+    each law's ``sampling_row``). An infinite component is (inf, 0, 0, 1),
     so it never achieves the minimum."""
-    table = np.zeros((4, spec.n_nodes, spec.n_components))
-    table[3] = 1.0
-    for n, node in enumerate(spec.nodes):
-        for k, d in enumerate(node.components):
-            if isinstance(d, Exponential):
-                table[2, n, k] = 1.0 / d.rate
-            elif isinstance(d, Deterministic):
-                table[0, n, k] = d.value
-            elif isinstance(d, Uniform):
-                table[0, n, k] = d.lo
-                table[1, n, k] = d.hi - d.lo
-            elif isinstance(d, Weibull):
-                table[2, n, k] = d.scale
-                table[3, n, k] = 1.0 / d.shape
-            else:
-                table[0, n, k] = math.inf
-    return table
+    table = np.array([[d.sampling_row() for d in node.components]
+                      for node in spec.nodes])
+    return np.moveaxis(table, 2, 0)
 
 
 def _route_tables(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:

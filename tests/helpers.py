@@ -1,6 +1,6 @@
 """Shared test utilities: an independent Monte Carlo oracle for minimum
-statistics, a single-draw inverse-transform sampler, a reference Poisson
-pmf, the loop assembly of the traffic and expanded-network systems as a
+statistics, a single-draw inverse-transform sampler, the densities of the
+atomless laws, a reference Poisson pmf, the loop assembly of the traffic and expanded-network systems as a
 reference for the vectorised one, samplers and the joint pmf of the exact
 solution, and random network generators for property checks."""
 
@@ -38,6 +38,22 @@ def sample(d, rng):
     raise TypeError(f"unknown distribution {d!r}")
 
 
+def density(d, t):
+    """Density at t for the atomless laws; only evaluated at t > 0."""
+    if isinstance(d, Exponential):
+        return d.rate * math.exp(-d.rate * t)
+    if isinstance(d, Uniform):
+        if d.lo <= t < d.hi:
+            return 1.0 / (d.hi - d.lo)
+        return 0.0
+    if isinstance(d, Weibull):
+        if t <= 0:
+            return 0.0
+        z = t / d.scale
+        return (d.shape / d.scale) * z ** (d.shape - 1) * math.exp(-(z ** d.shape))
+    raise TypeError(f"{type(d).__name__} has no density")
+
+
 def poisson_pmf(x, rho):
     """Poisson(rho) pmf at the integer x, by its closed form."""
     return math.exp(-rho) * rho**x / math.factorial(x)
@@ -50,7 +66,7 @@ def joint_pmf(pf, occupancy):
     if len(xs) != len(pf.rho):
         raise ValueError(
             f"occupancy vector has {len(xs)} entries, expected {len(pf.rho)}")
-    return float(np.prod([pf.marginal(n, x) for n, x in enumerate(xs)]))
+    return float(np.prod([pf.marginal_pmf(n, x)[x] for n, x in enumerate(xs)]))
 
 
 def conditional_sampler(expanded, n, k):

@@ -87,14 +87,14 @@ def test_no_arrivals_means_empty_network():
                        arrival_rates=(0.0, 0.0))
     pf = product_form(spec)
     np.testing.assert_allclose(pf.rho, [0.0, 0.0], atol=0.0)
-    assert pf.marginal(0, 0) == 1.0
+    assert pf.marginal_pmf(0, 0)[0] == 1.0
 
 
 def test_marginals_are_poisson():
     pf = product_form(two_node_deadline_example())
     rho = pf.rho[0]
-    assert pf.marginal(0, 0) == pytest.approx(math.exp(-rho), rel=1e-12)
-    assert pf.marginal(0, 2) == pytest.approx(
+    assert pf.marginal_pmf(0, 0)[0] == pytest.approx(math.exp(-rho), rel=1e-12)
+    assert pf.marginal_pmf(0, 2)[2] == pytest.approx(
         math.exp(-rho) * rho**2 / 2.0, rel=1e-12)
     pmf = pf.marginal_pmf(0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -119,7 +119,8 @@ def test_truncation_rule():
 def test_joint_is_product_of_marginals():
     pf = product_form(two_node_deadline_example())
     for state in [(0, 0), (1, 2), (3, 1), (5, 5)]:
-        expected = pf.marginal(0, state[0]) * pf.marginal(1, state[1])
+        expected = (pf.marginal_pmf(0, state[0])[state[0]]
+                    * pf.marginal_pmf(1, state[1])[state[1]])
         assert joint_pmf(pf, state) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         joint_pmf(pf, (1, 2, 3))

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import deadlinenet
 from deadlinenet import SimConfig, product_form, simulate, two_node_deadline_example
 from deadlinenet.cli import (
+    EXIT_NUMERICAL,
     EXIT_OPENNESS,
     EXIT_VALIDATION,
     main,
@@ -278,6 +279,29 @@ def test_baselines_infinite_component_exits_3(runner, tmp_path):
     # the exact solver has no such restriction
     solve = runner.invoke(main, ["solve", "--config", cfg])
     assert solve.exit_code == 0
+
+
+@pytest.mark.parametrize("partner", ["exp(rate=1.0)", "inf"])
+def test_tiny_weibull_shape_exits_with_a_reserved_code(runner, tmp_path, partner):
+    # Weibull(0.005, 1)'s mean and its 1e-16 tail time overflow a float:
+    # the race cannot be integrated (solve, expand and compare exit 5) and
+    # the baselines need finite means (exit 3)
+    cfg = write_config(tmp_path, f"""\
+        [network]
+        nodes = 1
+        components = 2
+        arrivals = 1.0
+        node1.components = weibull(0.005, 1.0), {partner}
+        node1.route1 =
+        node1.route2 =
+        """)
+    for command, code in [("solve", EXIT_NUMERICAL), ("expand", EXIT_NUMERICAL),
+                          ("compare", EXIT_NUMERICAL),
+                          ("baselines", EXIT_VALIDATION)]:
+        extra = FAST if command == "compare" else []
+        result = runner.invoke(main, [command, "--config", cfg, *extra])
+        assert result.exit_code == code, (command, result.output, result.stderr)
+        assert "node 1" in result.stderr and "component 1" in result.stderr
 
 
 def test_usage_errors_use_reserved_exit_code(runner):

@@ -19,15 +19,7 @@ from deadlinenet import (
     min_probability,
     two_node_deadline_example,
 )
-from deadlinenet.distributions import (
-    _kinks,
-    _tail_time,
-    density,
-    mean,
-    survival,
-)
-
-from helpers import mc_min_stats, random_component, sample
+from helpers import density, mc_min_stats, random_component, sample
 
 E_INV = math.exp(-1.0)  # P(unit exponential exceeds a unit deadline)
 
@@ -35,14 +27,14 @@ E_INV = math.exp(-1.0)  # P(unit exponential exceeds a unit deadline)
 # --- pointwise laws ---------------------------------------------------------
 
 def test_survival_closed_forms():
-    assert survival(Exponential(2.0), 0.5) == pytest.approx(math.exp(-1.0))
-    assert survival(Deterministic(1.0), 0.999) == 1.0
-    assert survival(Deterministic(1.0), 1.0) == 0.0
-    assert survival(Uniform(1.0, 3.0), 0.5) == 1.0
-    assert survival(Uniform(1.0, 3.0), 2.0) == 0.5
-    assert survival(Uniform(1.0, 3.0), 3.5) == 0.0
-    assert survival(Weibull(2.0, 1.0), 1.0) == pytest.approx(E_INV)
-    assert survival(Infinite(), 1e12) == 1.0
+    assert Exponential(2.0).survival(0.5) == pytest.approx(math.exp(-1.0))
+    assert Deterministic(1.0).survival(0.999) == 1.0
+    assert Deterministic(1.0).survival(1.0) == 0.0
+    assert Uniform(1.0, 3.0).survival(0.5) == 1.0
+    assert Uniform(1.0, 3.0).survival(2.0) == 0.5
+    assert Uniform(1.0, 3.0).survival(3.5) == 0.0
+    assert Weibull(2.0, 1.0).survival(1.0) == pytest.approx(E_INV)
+    assert Infinite().survival(1e12) == 1.0
 
 
 def test_density_closed_forms():
@@ -62,13 +54,13 @@ def test_density_rejects_atoms():
 
 
 def test_means():
-    assert mean(Exponential(4.0)) == 0.25
-    assert mean(Deterministic(2.5)) == 2.5
-    assert mean(Uniform(1.0, 3.0)) == 2.0
-    assert mean(Weibull(1.0, 2.0)) == pytest.approx(2.0)
+    assert Exponential(4.0).mean() == 0.25
+    assert Deterministic(2.5).mean() == 2.5
+    assert Uniform(1.0, 3.0).mean() == 2.0
+    assert Weibull(1.0, 2.0).mean() == pytest.approx(2.0)
     # shape 2: scale * gamma(1.5) = scale * sqrt(pi)/2
-    assert mean(Weibull(2.0, 1.0)) == pytest.approx(math.sqrt(math.pi) / 2)
-    assert mean(Infinite()) == math.inf
+    assert Weibull(2.0, 1.0).mean() == pytest.approx(math.sqrt(math.pi) / 2)
+    assert Infinite().mean() == math.inf
 
 
 @pytest.mark.parametrize("dist", [
@@ -80,7 +72,7 @@ def test_sample_matches_mean(dist):
     rng = np.random.default_rng(42)
     draws = np.array([sample(dist, rng) for _ in range(50_000)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - mean(dist)) < 4 * se
+    assert abs(draws.mean() - dist.mean()) < 4 * se
 
 
 def test_sample_deterministic_consumes_no_uniform():
@@ -266,14 +258,23 @@ def test_unresolved_weibull_race_raises():
         min_probability(race, 0)
 
 
+def test_race_with_no_finite_tail_raises():
+    # at shape 0.001 no component's survival falls to 1e-16 within the
+    # float range, so the race has no finite range to integrate over
+    with pytest.raises(QuadratureError, match="integration range for race"):
+        expected_min((Weibull(0.001, 1.0), Weibull(0.001, 2.0)))
+    with pytest.raises(QuadratureError, match="mean of race component 1"):
+        expected_min((Weibull(0.001, 1.0), Infinite()))
+
+
 def _scipy_min_stats(components):
     """p, cond_mean and mean_min of one race by scipy.integrate.quad on the
     panels between kinks, from the pointwise survival and density."""
     from scipy.integrate import quad
 
     finite = [c for c in components if not isinstance(c, Infinite)]
-    upper = min(_tail_time(c, 1e-16) for c in finite)
-    edges = [0.0, *sorted({t for c in finite for t in _kinks(c) if 0 < t < upper}),
+    upper = min(c.tail_time(1e-16) for c in finite)
+    edges = [0.0, *sorted({t for c in finite for t in c.support() if 0 < t < upper}),
              upper]
 
     def integral(fn):
@@ -281,7 +282,7 @@ def _scipy_min_stats(components):
                    for a, b in zip(edges, edges[1:]))
 
     def others(k, t):
-        return math.prod(survival(c, t) for j, c in enumerate(components) if j != k)
+        return math.prod(c.survival(t) for j, c in enumerate(components) if j != k)
 
     p, cond = [], []
     for k, d in enumerate(components):
@@ -299,7 +300,7 @@ def _scipy_min_stats(components):
             cond.append(d.value)
         else:
             cond.append(integral(lambda t: t * density(d, t) * others(k, t)) / p[k])
-    return p, cond, integral(lambda t: math.prod(survival(c, t) for c in finite))
+    return p, cond, integral(lambda t: math.prod(c.survival(t) for c in finite))
 
 
 def test_quadrature_against_scipy():

@@ -18,6 +18,7 @@ from deadlinenet import (
     two_node_deadline_example,
     validate,
 )
+from deadlinenet.config import _parse_distribution
 from deadlinenet.model import (
     ALL_COMPONENTS_INFINITE,
     BAD_ARRIVAL_RATE,
@@ -63,6 +64,32 @@ def test_distribution_values_coerced_to_float():
     assert isinstance(d.rate, float)
     u = Uniform(0, 2)
     assert (u.lo, u.hi) == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("law", [
+    Exponential(2.5), Deterministic(1.5), Uniform(0.5, 2.0),
+    Weibull(0.7, 1.3), Weibull(2.0, 0.5), Weibull(0.005, 1.0), Infinite(),
+], ids=repr)
+def test_law_contract(law):
+    """Each law's token, inverse transform, tail time and support agree
+    with its survival function."""
+    assert _parse_distribution("network", "node1.components", law.token()) == law
+    lo, hi = law.support()
+    shift, span, scale, power = law.sampling_row()
+
+    def inverse(u):
+        return shift + span * u + scale * (-np.log1p(-u)) ** power
+
+    if lo < hi:  # atomless
+        for u in (0.1, 0.5, 0.9):
+            assert abs(law.survival(float(inverse(u))) - (1.0 - u)) <= 1e-12
+    tail = law.tail_time(1e-16)
+    if lo == math.inf:
+        assert tail == math.inf
+    else:
+        assert law.survival(tail) <= 1e-16 * (1.0 + 1e-12)
+    samples = inverse(np.random.default_rng(11).random(1000))
+    assert ((lo <= samples) & (samples <= hi)).all()
 
 
 def test_example_network_shape():
