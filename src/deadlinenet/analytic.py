@@ -1,17 +1,21 @@
 """Exact equilibrium analysis.
 
-The total flow into each (node, component) pair solves a linear system:
-the flow is the achievement probability times the node's total inflow,
-summed over external arrivals and internal transfers. In equilibrium every
-node's occupancy is Poisson with mean rho_n = sum_k alpha_{n,k} *
-cond_mean_{n,k}, and the joint law is the product of the marginals.
+The race at a node is decided afresh at each visit, so the flow into
+(node n, component k) is p_{n,k} Lambda_n, where Lambda_n is the node's
+total inflow. The total inflows solve the node-level traffic equations
+Lambda = lambda + Q^T Lambda with the achievement-weighted routing
+Q_{n,m} = sum_k p_{n,k} P^k_{n,m}: one N x N linear system, the classical
+form for product-form networks (Kelly, Reversibility and Stochastic
+Networks, 1979, ch. 3). In equilibrium every node's occupancy is Poisson
+with mean rho_n = sum_k alpha_{n,k} * cond_mean_{n,k}, and the joint law is
+the product of the marginals.
 
 Also provided: the equivalent expanded network (one single-outcome node per
 (node, component), Markovian routing weighted by downstream achievement
-probabilities) solved as an independent cross-check, and the two naive
-mean-value approximations (treat every component as exponential; or keep
-the true routing split but use summed reciprocal means as the rate) that
-the exact solution corrects.
+probabilities), whose (NK) x (NK) flow equations are solved as an
+independent cross-check, and the two naive mean-value approximations
+(treat every component as exponential; or keep the true routing split but
+use summed reciprocal means as the rate) that the exact solution corrects.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .distributions import MinStats, compute_min_stats
 from .errors import InfiniteMeanError, OpennessError
-from .model import NetworkSpec, route_tensor
+from .model import NetworkSpec, route_tensor, trapped_nodes
 
 __all__ = [
     "TrafficSolution",
@@ -43,12 +47,23 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 
 
-def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Solve A x = b by dense elimination and enforce the openness contract:
-    the residual ||A x - b|| must be at most 1e-10 ||b|| and no flow may be
-    below -1e-10 ||x|| (max norms). Both bounds scale with the arrival
-    rates; a near-singular system, whose solution blows up, still fails the
-    first. Returns x, clipped at 0, and the absolute residual."""
+def _solve_open(A: np.ndarray, b: np.ndarray, what: str, routes: np.ndarray,
+                wins: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A x = b by dense elimination and enforce the openness contract.
+
+    Openness is decided exactly first: the system is rejected when
+    :func:`model.trapped_nodes` finds a node on ``routes`` whose customers,
+    served by the pairs in ``wins``, can never leave. The solve then must
+    have a residual ||A x - b|| of at most 1e-10 ||b|| and no flow below
+    -1e-10 ||x|| (max norms). Both bounds scale with the arrival rates; a
+    near-singular system, whose solution blows up, still fails the first.
+    Returns x, clipped at 0, and the absolute residual."""
+    trapped = trapped_nodes(routes, wins)
+    if trapped:
+        raise OpennessError(
+            f"{what}: customers at node(s) "
+            f"{', '.join(str(n + 1) for n in trapped)} can never leave — "
+            "network not open")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -58,7 +73,7 @@ def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, fl
     if not b.size:
         return x, 0.0
     # ndarray methods: np.max and friends cost several times more per call
-    # on the small systems that compare solves three times
+    # on the small systems that compare solves twice
     residual = float(np.abs(A @ x - b).max())
     bound = _RESIDUAL_TOL * float(np.abs(b).max())
     if not residual <= bound:
@@ -75,40 +90,41 @@ def _solve_open(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, fl
     return x, residual
 
 
+def _solve_node_flows(spec: NetworkSpec, weights: np.ndarray,
+                      what: str) -> tuple[np.ndarray, float]:
+    """Node inflows Lambda = lambda + Q^T Lambda, when a customer leaves
+    node n by component k's routing row with probability weights[n, k]:
+    Q_{n,m} = sum_k weights[n, k] P^k_{n,m}. Returns Lambda, residual."""
+    routes = route_tensor(spec)
+    q = np.einsum("nk,nkm->nm", weights, routes)
+    lam = np.asarray(spec.arrival_rates, dtype=float)
+    return _solve_open(np.eye(spec.n_nodes) - q.T, lam, what, routes,
+                       weights > 0)
+
+
 @dataclass
 class TrafficSolution:
-    """Flows alpha[n, k] into each (node, component) in equilibrium."""
+    """Equilibrium flows: flows[n] into each node (external plus internal)
+    and alpha[n, k] = p_{n,k} flows[n] into each (node, component)."""
 
     alpha: np.ndarray
+    flows: np.ndarray
     residual: float
-
-    @property
-    def node_totals(self) -> np.ndarray:
-        """Total arrival rate into each node (external plus internal)."""
-        return self.alpha.sum(axis=1)
 
 
 def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
-    """Solve the flow equations alpha_{n,k} = p_{n,k} lambda_n +
-    sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l} as one dense linear system.
+    """Solve the traffic equations at node level: each visit to node n
+    starts a fresh race, so the node inflows solve the N x N system
+    Lambda_n = lambda_n + sum_{m,k} Lambda_m p_{m,k} P^k_{m,n}, and
+    alpha_{n,k} = p_{n,k} Lambda_n solves the per-(node, component)
+    equations alpha_{n,k} = p_{n,k} (lambda_n + sum_{m,l} P^l_{m,n}
+    alpha_{m,l}) exactly.
 
-    Raises OpennessError when the system is singular or the solve is
-    numerically degenerate, as it is for a network that is not open."""
-    n_nodes, n_comp = stats.p.shape
-    size = n_nodes * n_comp
-    coeff = np.eye(size) - np.einsum(
-        "nk,mln->nkml", stats.p, route_tensor(spec)).reshape(size, size)
-    alpha, residual = _solve_open(coeff, _external_inflow(spec, stats),
-                                  "traffic equations")
-    alpha = alpha.reshape(n_nodes, n_comp)
-    alpha[stats.p == 0] = 0.0
-    return TrafficSolution(alpha=alpha, residual=residual)
-
-
-def _external_inflow(spec: NetworkSpec, stats: MinStats) -> np.ndarray:
-    """External arrival rate p_{n,k} lambda_n into each (node, component),
-    flattened in (n, k) order."""
-    return (stats.p * np.asarray(spec.arrival_rates)[:, None]).ravel()
+    Raises OpennessError when customers at some node can never leave, or
+    when the solve is singular or numerically degenerate."""
+    flows, residual = _solve_node_flows(spec, stats.p, "traffic equations")
+    return TrafficSolution(alpha=stats.p * flows[:, None], flows=flows,
+                           residual=residual)
 
 
 def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
@@ -174,10 +190,6 @@ class ExpandedNetwork:
     achievement: np.ndarray    # (NK,) flattened p
     supernode: tuple[int, ...]  # original node of each expanded node
 
-    @property
-    def n_expanded(self) -> int:
-        return len(self.node_ids)
-
 
 def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ExpandedNetwork:
     """Build the equivalent expanded network: external rate p_{n,k} lambda_n
@@ -188,11 +200,12 @@ def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> Expan
     size = n_nodes * n_comp
     node_ids = tuple((n, k) for n in range(n_nodes) for k in range(n_comp))
     routing = np.einsum("nkm,ml->nkml", route_tensor(spec), stats.p)
+    external = stats.p * np.asarray(spec.arrival_rates)[:, None]
     return ExpandedNetwork(
         spec=spec,
         node_ids=node_ids,
         routing=routing.reshape(size, size),
-        external_rates=_external_inflow(spec, stats),
+        external_rates=external.ravel(),
         cond_means=stats.cond_mean.reshape(size).copy(),
         achievement=stats.p.reshape(size).copy(),
         supernode=tuple(n for n, _ in node_ids),
@@ -212,19 +225,22 @@ class ExpandedSolution:
 def solve_expanded(expanded: ExpandedNetwork) -> ExpandedSolution:
     """Standard open-network infinite-server solve on the expanded network.
 
-    This is an independent path to the same occupancies: supernode
-    aggregates must match product_form's rho within 1e-9.
+    This is the one (NK) x (NK) solve, an independent path to the
+    occupancies that product_form gets from the N x N node system: the
+    supernode aggregates must match its rho to within 1e-9 relative.
     """
-    size = expanded.n_expanded
+    size = len(expanded.node_ids)
     coeff = np.eye(size) - expanded.routing.T
+    spec = expanded.spec
+    wins = expanded.achievement.reshape(spec.n_nodes, spec.n_components) > 0
     alpha, residual = _solve_open(coeff, expanded.external_rates.copy(),
-                                  "expanded network flow equations")
+                                  "expanded network flow equations",
+                                  route_tensor(spec), wins)
     alpha[expanded.achievement == 0] = 0.0
     rho = np.zeros(size)
     mask = expanded.achievement > 0
     rho[mask] = alpha[mask] * expanded.cond_means[mask]
-    n_nodes = expanded.spec.n_nodes
-    supernode_rho = np.zeros(n_nodes)
+    supernode_rho = np.zeros(spec.n_nodes)
     np.add.at(supernode_rho, np.asarray(expanded.supernode), rho)
     return ExpandedSolution(alpha=alpha, rho=rho,
                             supernode_rho=supernode_rho, residual=residual)
@@ -236,7 +252,6 @@ class BaselineResult:
 
     method: str
     rho: np.ndarray
-    routing_used: np.ndarray  # (N, N) aggregated routing matrix
     rates_used: np.ndarray    # (N,) node service rates
     node_flows: np.ndarray    # (N,) solved node arrival rates
 
@@ -257,33 +272,27 @@ def _component_rates(spec: NetworkSpec) -> np.ndarray:
     return rates
 
 
-def _baseline_solve(spec: NetworkSpec, weights: np.ndarray,
-                    node_rates: np.ndarray, method: str) -> BaselineResult:
-    routes = route_tensor(spec)
-    q = np.einsum("nk,nkm->nm", weights, routes)
-    lam = np.asarray(spec.arrival_rates, dtype=float)
-    flows, _ = _solve_open(np.eye(spec.n_nodes) - q.T, lam.copy(),
-                           f"{method} flow equations")
-    return BaselineResult(method=method, rho=flows / node_rates,
-                          routing_used=q, rates_used=node_rates,
-                          node_flows=flows)
-
-
 def baseline_full_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Pretend every component is exponential with its mean preserved: node
     rate sum of reciprocal means, routing mixed by rate share."""
     rates = _component_rates(spec)
     node_rates = rates.sum(axis=1)
-    return _baseline_solve(spec, rates / node_rates[:, None], node_rates,
-                           "full_insensitivity")
+    flows, _ = _solve_node_flows(spec, rates / node_rates[:, None],
+                                 "full_insensitivity flow equations")
+    return BaselineResult(method="full_insensitivity", rho=flows / node_rates,
+                          rates_used=node_rates, node_flows=flows)
 
 
 def baseline_service_time_insensitivity(
-        spec: NetworkSpec, stats: Optional[MinStats] = None) -> BaselineResult:
+        spec: NetworkSpec,
+        traffic: Optional[TrafficSolution] = None) -> BaselineResult:
     """Keep the true achievement probabilities in the routing mix but still
-    use the summed reciprocal means as each node's service rate."""
-    rates = _component_rates(spec)
-    if stats is None:
-        stats = compute_min_stats(spec)
-    return _baseline_solve(spec, stats.p, rates.sum(axis=1),
-                           "service_time_insensitivity")
+    use the summed reciprocal means as each node's service rate. That
+    routing mix is the exact one, so the node flows are the exact
+    solution's ``traffic.flows`` (solved here when not given)."""
+    node_rates = _component_rates(spec).sum(axis=1)
+    if traffic is None:
+        traffic = solve_traffic(spec, compute_min_stats(spec))
+    return BaselineResult(method="service_time_insensitivity",
+                          rho=traffic.flows / node_rates,
+                          rates_used=node_rates, node_flows=traffic.flows)

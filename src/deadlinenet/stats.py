@@ -14,7 +14,6 @@ from .analytic import (
     baseline_service_time_insensitivity,
     product_form,
 )
-from .distributions import compute_min_stats
 from .errors import InfiniteMeanError
 from .model import NetworkSpec
 from .simulate import SimResult
@@ -104,14 +103,13 @@ class ComparisonReport:
 
 def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
     """Assemble the verification report for a run of ``spec``."""
-    stats = compute_min_stats(spec)
-    pf = product_form(spec, stats)
+    pf = product_form(spec)
     try:
         full = baseline_full_insensitivity(spec).rho
     except InfiniteMeanError:
         full = None
     try:
-        service = baseline_service_time_insensitivity(spec, stats).rho
+        service = baseline_service_time_insensitivity(spec, pf.traffic).rho
     except InfiniteMeanError:
         service = None
     table = tuple(

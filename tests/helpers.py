@@ -1,8 +1,10 @@
 """Shared test utilities: an independent Monte Carlo oracle for minimum
 statistics, a single-draw inverse-transform sampler, the densities of the
-atomless laws, a reference Poisson pmf, the loop assembly of the traffic and expanded-network systems as a
-reference for the vectorised one, samplers and the joint pmf of the exact
-solution, and random network generators for property checks."""
+atomless laws, a reference Poisson pmf, the per-(node, component) traffic
+equations and the expanded network assembled entry by entry as references
+for the node-level solve and the vectorised expansion, samplers and the
+joint pmf of the exact solution, and random network generators for
+property checks."""
 
 import math
 
@@ -18,7 +20,6 @@ from deadlinenet import (
     Weibull,
     validate,
 )
-from deadlinenet.analytic import TrafficSolution, _solve_open
 
 
 def sample(d, rng):
@@ -98,8 +99,10 @@ def conditional_sampler(expanded, n, k):
 
 
 def loop_traffic(spec, stats):
-    """solve_traffic with its system assembled entry by entry: the reference
-    for the vectorised assembly."""
+    """Flows alpha[n, k] from the per-(node, component) traffic equations
+    alpha_{n,k} = p_{n,k} lambda_n + sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l},
+    assembled entry by entry and solved as one (NK) x (NK) system: the
+    reference for the node-level solve_traffic."""
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
 
@@ -117,10 +120,7 @@ def loop_traffic(spec, stats):
                 routing = spec.nodes[m].routing
                 for l in range(n_comp):
                     coeff[row, idx(m, l)] -= p_nk * routing[l][n]
-    alpha, residual = _solve_open(coeff, b, "traffic equations")
-    alpha = alpha.reshape(n_nodes, n_comp)
-    alpha[stats.p == 0] = 0.0
-    return TrafficSolution(alpha=alpha, residual=residual)
+    return np.linalg.solve(coeff, b).reshape(n_nodes, n_comp)
 
 
 def loop_expansion(spec, stats):

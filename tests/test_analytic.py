@@ -55,7 +55,7 @@ def test_traffic_solution_closed_form():
          [1.0, 0.58197670686932642]], atol=1e-12)
     assert sol.residual <= 1e-10
     np.testing.assert_allclose(
-        sol.node_totals, [2.5026503010771187, 1.5819767068693264], atol=1e-12)
+        sol.flows, [2.5026503010771187, 1.5819767068693264], atol=1e-12)
 
 
 def test_traffic_flows_vanish_for_never_achieving_components():
@@ -104,7 +104,9 @@ def test_marginals_are_poisson():
 @pytest.mark.parametrize("rho", [1e-6, 1e-3, 0.37, 1.0, 7.5, 40.0])
 def test_marginal_pmf_matches_closed_form(rho):
     pf = ProductForm(rho=np.array([rho]),
-                     traffic=TrafficSolution(alpha=np.array([[rho]]), residual=0.0))
+                     traffic=TrafficSolution(alpha=np.array([[rho]]),
+                                             flows=np.array([rho]),
+                                             residual=0.0))
     pmf = pf.marginal_pmf(0)
     reference = np.array([poisson_pmf(x, rho) for x in range(pmf.size)])
     np.testing.assert_allclose(pmf, reference, rtol=1e-12, atol=0.0)
@@ -141,12 +143,16 @@ def _reference_networks():
 
 
 def test_vectorised_assembly_equals_loop_reference():
-    # every entry is the same single product as in the loop assembly, so
-    # the results must agree bit for bit
+    # the node-level solve and the (NK) x (NK) loop reference round
+    # differently, so their flows agree normwise to 1e-12; every entry of
+    # the expansion is the same single product as in its loop assembly, so
+    # those agree bit for bit
     for spec in _reference_networks():
         stats = compute_min_stats(spec)
-        assert np.array_equal(solve_traffic(spec, stats).alpha,
-                              loop_traffic(spec, stats).alpha)
+        alpha = solve_traffic(spec, stats).alpha
+        reference = loop_traffic(spec, stats)
+        assert (np.abs(alpha - reference).max()
+                <= 1e-12 * np.abs(reference).max())
         routing, external = loop_expansion(spec, stats)
         expanded = expand_network(spec, stats)
         assert np.array_equal(expanded.routing, routing)
@@ -170,11 +176,23 @@ def test_rho_scales_linearly_with_arrivals(c):
                                    c * product_form(spec).rho, rtol=1e-9, atol=0.0)
 
 
+def _raises_not_open(spec):
+    """Every solver rejects ``spec`` as not open."""
+    stats = compute_min_stats(spec)
+    for solve in (lambda: product_form(spec, stats),
+                  lambda: solve_expanded(expand_network(spec, stats)),
+                  lambda: baseline_full_insensitivity(spec),
+                  lambda: baseline_service_time_insensitivity(spec)):
+        with pytest.raises(OpennessError, match="not open"):
+            solve()
+
+
 def test_closed_networks_raise_even_when_rounding_hides_it():
     # every routing row sums to exactly 1, but the achievement split of two
     # exponentials makes the elimination inexact, so the computed matrix is
-    # often not exactly singular; the flows it yields are huge and the
-    # residual bound, relative to the inflow, rejects them
+    # often not exactly singular and its flows are huge yet can leave a
+    # zero residual; every solver rejects these networks by reachability
+    # on the routing graph before it solves
     rng = np.random.default_rng(0)
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -188,22 +206,14 @@ def test_closed_networks_raise_even_when_rounding_hides_it():
                 rows.append(tuple(row))
             comps = tuple(Exponential(float(rng.uniform(0.4, 3.0))) for _ in range(2))
             nodes.append(NodeSpec(components=comps, routing=tuple(rows)))
-        spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=(1.0,) + (0.0,) * (n - 1))
-        with pytest.raises(OpennessError, match="not open"):
-            product_form(spec)
+        _raises_not_open(NetworkSpec(nodes=tuple(nodes),
+                                     arrival_rates=(1.0,) + (0.0,) * (n - 1)))
 
 
 def test_every_solver_rejects_a_network_closed_up_to_rounding():
     # rows of (0.7, 0.2, 0.1) sum to 1 - 1.1e-16: the systems are within
     # rounding of singular, so no flow they yield can be trusted
-    spec = decimal_closed_network()
-    stats = compute_min_stats(spec)
-    with pytest.raises(OpennessError, match="not open"):
-        solve_traffic(spec, stats)
-    with pytest.raises(OpennessError, match="not open"):
-        solve_expanded(expand_network(spec, stats))
-    with pytest.raises(OpennessError, match="not open"):
-        baseline_full_insensitivity(spec)
+    _raises_not_open(decimal_closed_network())
 
 
 def test_nearly_closed_network_still_solves():

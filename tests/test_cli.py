@@ -152,6 +152,15 @@ def test_expand_reports_equivalence(runner):
     assert "0.367879" in result.output
 
 
+def test_expand_check_is_relative_to_the_occupancies(runner, tmp_path):
+    # the two solves round differently: at arrivals x 3e9 their occupancies
+    # differ by about 5e-7, far more than 1e-9, but only by 1e-16 relative
+    body = bundled_scenario_path().read_text().replace(
+        "arrivals = 1.0, 0.0", "arrivals = 3e9, 0.0")
+    result = invoke(runner, "expand", "--config", write_config(tmp_path, body))
+    assert "(OK)" in result.output
+
+
 def test_expand_single_component_network(runner, tmp_path):
     cfg = write_config(tmp_path, """\
         [network]
@@ -186,15 +195,19 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("command", ["solve", "expand"])
+@pytest.mark.parametrize("command", ["solve", "expand", "compare"])
 def test_each_exact_quantity_computed_once_per_command(runner, monkeypatch, command):
     import deadlinenet.analytic
     import deadlinenet.distributions
 
     stats_calls = _count_calls(monkeypatch, deadlinenet.distributions, "compute_min_stats")
     traffic_calls = _count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    solves = _count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
     invoke(runner, command, "--format", "json")
     assert (len(stats_calls), len(traffic_calls)) == (1, 1)
+    # expand adds the expanded network's solve and compare the
+    # full-insensitivity one; the service-time baseline reuses the flows
+    assert len(solves) == {"solve": 1, "expand": 2, "compare": 2}[command]
 
 
 def test_baselines_values(runner):
