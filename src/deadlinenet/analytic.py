@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import MinStats, compute_min_stats
 from .errors import InfiniteMeanError, OpennessError
-from .model import NetworkSpec, route_tensor, trapped_nodes
+from .model import NetworkSpec, trapped_nodes
 
 __all__ = [
     "TrafficSolution",
@@ -95,7 +95,7 @@ def _solve_node_flows(spec: NetworkSpec, weights: np.ndarray,
     """Node inflows Lambda = lambda + Q^T Lambda, when a customer leaves
     node n by component k's routing row with probability weights[n, k]:
     Q_{n,m} = sum_k weights[n, k] P^k_{n,m}. Returns Lambda, residual."""
-    routes = route_tensor(spec)
+    routes = spec.route_tensor
     q = np.einsum("nk,nkm->nm", weights, routes)
     lam = np.asarray(spec.arrival_rates, dtype=float)
     return _solve_open(np.eye(spec.n_nodes) - q.T, lam, what, routes,
@@ -133,7 +133,8 @@ def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
     x = np.asarray(x)
     if rho == 0:
         return (x == 0).astype(float)
-    log_fact = np.array([math.lgamma(v + 1.0) for v in x.ravel()]).reshape(x.shape)
+    log_fact = np.fromiter(map(math.lgamma, (x.ravel() + 1.0).tolist()),
+                           float, x.size).reshape(x.shape)
     return np.exp(x * math.log(rho) - rho - log_fact)
 
 
@@ -199,7 +200,7 @@ def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> Expan
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
     node_ids = tuple((n, k) for n in range(n_nodes) for k in range(n_comp))
-    routing = np.einsum("nkm,ml->nkml", route_tensor(spec), stats.p)
+    routing = np.einsum("nkm,ml->nkml", spec.route_tensor, stats.p)
     external = stats.p * np.asarray(spec.arrival_rates)[:, None]
     return ExpandedNetwork(
         spec=spec,
@@ -235,7 +236,7 @@ def solve_expanded(expanded: ExpandedNetwork) -> ExpandedSolution:
     wins = expanded.achievement.reshape(spec.n_nodes, spec.n_components) > 0
     alpha, residual = _solve_open(coeff, expanded.external_rates.copy(),
                                   "expanded network flow equations",
-                                  route_tensor(spec), wins)
+                                  spec.route_tensor, wins)
     alpha[expanded.achievement == 0] = 0.0
     rho = np.zeros(size)
     mask = expanded.achievement > 0

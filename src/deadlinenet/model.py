@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "Violation",
     "structural_violations",
     "can_win",
-    "route_tensor",
     "trapped_nodes",
     "validate",
     "two_node_deadline_example",
@@ -294,6 +294,14 @@ class NetworkSpec:
     def n_components(self) -> int:
         return len(self.nodes[0].components) if self.nodes else 0
 
+    @cached_property
+    def route_tensor(self) -> np.ndarray:
+        """routing[n, k, m] of a structurally valid spec as one read-only
+        array, built once per spec."""
+        routes = np.array([node.routing for node in self.nodes], dtype=float)
+        routes.flags.writeable = False
+        return routes
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -393,22 +401,17 @@ def can_win(node: NodeSpec) -> tuple[bool, ...]:
         for k, (lo, _) in enumerate(bounds))
 
 
-def route_tensor(spec: NetworkSpec) -> np.ndarray:
-    """routing[n, k, m] of a structurally valid spec as one array."""
-    return np.array([node.routing for node in spec.nodes], dtype=float)
-
-
 def trapped_nodes(routes: np.ndarray, wins: np.ndarray) -> list[int]:
     """Nodes with a winning (node, component) pair from which no chain of
     winning pairs reaches a routing row that sums to less than 1 (by more
     than the rounding that :func:`structural_violations` forgives above 1).
 
-    ``routes`` is :func:`route_tensor`, ``wins[n, k]`` whether component k
-    can achieve node n's minimum. A customer leaving (n, k) moves to node m
-    when routes[n, k, m] > 0 and is then served by every winning component
-    of m, so a node escapes once one of its winning pairs leads out. With
-    wins = p > 0, the traffic equations are singular, or within rounding of
-    it, when this list is not empty.
+    ``routes`` is :attr:`NetworkSpec.route_tensor`, ``wins[n, k]`` whether
+    component k can achieve node n's minimum. A customer leaving (n, k)
+    moves to node m when routes[n, k, m] > 0 and is then served by every
+    winning component of m, so a node escapes once one of its winning
+    pairs leads out. With wins = p > 0, the traffic equations are
+    singular, or within rounding of it, when this list is not empty.
     """
     leaks = routes.sum(axis=2) < 1.0 - _ROW_SUM_TOL
     feeds = routes > 0.0
@@ -435,7 +438,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     report = structural_violations(spec)
     if report:
         return report
-    trapped = trapped_nodes(route_tensor(spec),
+    trapped = trapped_nodes(spec.route_tensor,
                             np.array([can_win(node) for node in spec.nodes]))
     if trapped:
         where = ("node " if len(trapped) == 1 else "nodes ") + ", ".join(

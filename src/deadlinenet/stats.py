@@ -59,29 +59,92 @@ def product_form_deviation(result: SimResult) -> float:
 
     The supremum runs over the box spanned by each node's visited
     occupancy range; outside it the empirical joint is zero and the
-    product term is smaller than anything inside.
+    product term is smaller than anything inside. It is found exactly
+    without enumerating the box, as the larger of two terms:
+
+    - the maximum of |joint - product| over the visited states J in the
+      box. Each product is formed left to right, node by node, with the
+      same float operations as a scan of the box, so this term is the
+      scan's value bit for bit;
+    - the largest product at a box cell outside J, where the joint is
+      zero. Rank each node's occupancies by descending marginal. Rounded
+      multiplication of non-negative floats is monotone in each factor,
+      so a cell that is no worse in rank at every node has a product at
+      least as large. The maximum over the complement of J is therefore
+      reached at a minimal cell of the complement, one whose every
+      neighbour a rank better at a single node lies in J. Such a cell is
+      the all-top-rank cell, or d + e_n: a state d of J one rank worse at
+      a single node n. Only these at most N |J| + 1 candidates are
+      evaluated, one node at a time, and only those whose product
+      exceeds the first term are tested for membership in J, largest
+      product first.
     """
-    if result.joint_weights is None:
+    joint = result.joint_weights
+    if joint is None:
         raise ValueError("joint occupancy was not recorded; "
                          "rerun with record_joint=True")
     duration = result.effective_duration
-    marginals = [empirical_marginal(result, n)
-                 for n in range(len(result.marginal_weights))]
-    ranges = []
-    per_node = []
-    for pmf in marginals:
-        lo, hi = min(pmf), max(pmf)
-        ranges.append(range(lo, hi + 1))
-        per_node.append({x: pmf.get(x, 0.0) for x in range(lo, hi + 1)})
-    worst = 0.0
-    for state in itertools.product(*ranges):
-        joint = result.joint_weights.get(state, 0.0) / duration
-        prod = 1.0
-        for n, x in enumerate(state):
-            prod *= per_node[n][x]
-        dev = abs(joint - prod)
-        if dev > worst:
-            worst = dev
+    n_nodes = len(result.marginal_weights)
+    nodes = np.arange(n_nodes)[:, None]
+    marginals = [empirical_marginal(result, n) for n in range(n_nodes)]
+    lo, hi = np.array([(min(pmf), max(pmf)) for pmf in marginals]).T
+    size = hi - lo + 1
+    # marginal[n, x - lo[n]]: zero at unvisited occupancies in the range
+    # and in the padding past it, which ends every node's rank order
+    marginal = np.zeros((n_nodes, size.max() + 1))
+    for n, pmf in enumerate(marginals):
+        marginal[n, np.fromiter(pmf, np.int64, len(pmf)) - lo[n]] = (
+            np.fromiter(pmf.values(), float, len(pmf)))
+    # stable, so in-range zeros rank before the padding
+    order = np.argsort(-marginal, axis=1, kind="stable")
+    ranked = marginal[nodes, order]
+    # the position in order of the occupancy one rank worse
+    worse = np.empty_like(order)
+    worse[nodes, order] = np.arange(1, order.shape[1] + 1)
+
+    # one column per visited state, as offsets into the box
+    cells = np.fromiter(itertools.chain.from_iterable(joint), np.int64,
+                        len(joint) * n_nodes).reshape(len(joint), n_nodes).T
+    cells -= lo[:, None]
+    weights = np.fromiter(joint.values(), float, len(joint))
+    # the simulator records only states held for a positive time, all
+    # inside the box; a result built by hand may list others
+    inside = ((cells >= 0) & (cells < size[:, None])).all(axis=0)
+    if not inside.all():
+        cells, weights = cells[:, inside], weights[inside]
+    product = marginal[0, cells[0]]
+    for n in range(1, n_nodes):
+        product *= marginal[n, cells[n]]
+    worst = float(np.abs(weights / duration - product).max(initial=0.0))
+
+    # node by node, the products at the cells one rank worse at node n
+    # than a visited state, formed left to right on top of that state's
+    # product over the nodes before n
+    products = [np.cumprod(ranked[:, 0])[-1:]]
+    candidates = [order[:, :1]]
+    for n in range(n_nodes):
+        position = worse[n, cells[n]]
+        product = ranked[n, position]
+        if n:
+            product *= prefix
+        for k in range(n + 1, n_nodes):
+            product *= marginal[k, cells[k]]
+        keep = (product > worst).nonzero()[0]
+        moved = cells[:, keep]
+        moved[n] = order[n, position[keep]]
+        products.append(product[keep])
+        candidates.append(moved)
+        factor = marginal[n, cells[n]]
+        prefix = factor * prefix if n else factor
+    products = np.concatenate(products)
+    by_size = np.argsort(-products, kind="stable")
+    cells = (np.concatenate(candidates, axis=1)[:, by_size]
+             + lo[:, None]).T.tolist()
+    for product, cell in zip(products[by_size].tolist(), cells):
+        if product <= worst:
+            break
+        if tuple(cell) not in joint:
+            return product
     return worst
 
 

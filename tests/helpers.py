@@ -2,10 +2,11 @@
 statistics, a single-draw inverse-transform sampler, the densities of the
 atomless laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
-for the node-level solve and the vectorised expansion, samplers and the
-joint pmf of the exact solution, and random network generators for
-property checks."""
+for the node-level solve and the vectorised expansion, the box scan of
+the product-form deviation, samplers and the joint pmf of the exact
+solution, and random network generators for property checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from deadlinenet import (
     NodeSpec,
     Uniform,
     Weibull,
+    empirical_marginal,
     validate,
 )
 
@@ -139,6 +141,34 @@ def loop_expansion(spec, stats):
     return routing, external
 
 
+def box_scan_deviation(result):
+    """sup |empirical joint - product of empirical marginals| by a scan of
+    every cell of the box spanned by each node's visited occupancy range:
+    the reference for product_form_deviation."""
+    if result.joint_weights is None:
+        raise ValueError("joint occupancy was not recorded; "
+                         "rerun with record_joint=True")
+    duration = result.effective_duration
+    marginals = [empirical_marginal(result, n)
+                 for n in range(len(result.marginal_weights))]
+    ranges = []
+    per_node = []
+    for pmf in marginals:
+        lo, hi = min(pmf), max(pmf)
+        ranges.append(range(lo, hi + 1))
+        per_node.append({x: pmf.get(x, 0.0) for x in range(lo, hi + 1)})
+    worst = 0.0
+    for state in itertools.product(*ranges):
+        joint = result.joint_weights.get(state, 0.0) / duration
+        prod = 1.0
+        for n, x in enumerate(state):
+            prod *= per_node[n][x]
+        dev = abs(joint - prod)
+        if dev > worst:
+            worst = dev
+    return worst
+
+
 def mc_draws(dist, n, rng):
     """Draw n variates using numpy's own samplers — deliberately a
     different code path from the package's inverse transforms."""
@@ -221,6 +251,14 @@ def random_component(rng):
 def random_general_network(rng, max_nodes=3, max_components=3):
     n_nodes = int(rng.integers(1, max_nodes + 1))
     n_comp = int(rng.integers(1, max_components + 1))
+    return mixed_network(rng, n_nodes, n_comp)
+
+
+def mixed_network(rng, n_nodes, n_comp, max_total=0.85,
+                  rate_range=(0.2, 1.5)):
+    """Valid network of n_nodes nodes with n_comp components of mixed laws,
+    routing rows of total mass at most max_total and arrival rates drawn
+    uniformly from ``rate_range``."""
     nodes = []
     for _ in range(n_nodes):
         while True:
@@ -228,10 +266,10 @@ def random_general_network(rng, max_nodes=3, max_components=3):
             values = [d.value for d in comps if isinstance(d, Deterministic)]
             if len(values) == len(set(values)):
                 break
-        routing = tuple(random_routing_row(rng, n_nodes)
+        routing = tuple(random_routing_row(rng, n_nodes, max_total)
                         for _ in range(n_comp))
         nodes.append(NodeSpec(components=comps, routing=routing))
-    rates = tuple(float(rng.uniform(0.2, 1.5)) for _ in range(n_nodes))
+    rates = tuple(float(rng.uniform(*rate_range)) for _ in range(n_nodes))
     spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=rates)
     assert validate(spec) == []
     return spec

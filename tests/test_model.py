@@ -302,3 +302,22 @@ def test_random_networks_validate():
 def test_specs_are_hashable_and_comparable():
     assert two_node_deadline_example() == two_node_deadline_example()
     assert hash(two_node_deadline_example()) == hash(two_node_deadline_example())
+
+
+def test_route_tensor_built_once_and_read_only():
+    spec = two_node_deadline_example()
+    routes = spec.route_tensor
+    assert routes is spec.route_tensor
+    np.testing.assert_array_equal(
+        routes, [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    with pytest.raises(ValueError):
+        routes[0, 0, 0] = 0.5
+    assert spec == two_node_deadline_example()
+
+
+def test_ragged_routing_reported_before_the_tensor_is_built():
+    first, second = two_node_deadline_example().nodes
+    node = NodeSpec(components=first.components, routing=((0.0, 1.0), (1.0,)))
+    ragged = NetworkSpec(nodes=(node, second), arrival_rates=(1.0, 0.0))
+    assert kinds(validate(ragged)) == [BAD_SHAPE]
+    assert "route_tensor" not in vars(ragged)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,12 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from helpers import poisson_pmf, random_exponential_network
+from helpers import (
+    box_scan_deviation,
+    mixed_network,
+    poisson_pmf,
+    random_exponential_network,
+)
 
 
 def fake_result(marginals, joint, duration, n_nodes=2):
@@ -142,6 +148,115 @@ def test_deviation_small_for_independent_nodes():
     spec = NetworkSpec(nodes=(node, node), arrival_rates=(1.0, 1.0))
     res = simulate(spec, SimConfig(seed=17, horizon=100_000.0, warmup=1_000.0))
     assert product_form_deviation(res) <= 0.005
+
+
+# --- exact sparse search against the box scan -------------------------------
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+def test_deviation_equals_box_scan_on_mixed_networks(seed):
+    spec = mixed_network(np.random.default_rng(seed), 8, 3, max_total=0.5,
+                         rate_range=(0.05, 0.25))
+    res = simulate(spec, SimConfig(seed=seed, horizon=2_000.0, warmup=100.0))
+    assert product_form_deviation(res) == box_scan_deviation(res)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_deviation_equals_box_scan_on_bundled_scenario(seed):
+    res = simulate(two_node_deadline_example(),
+                   SimConfig(seed=seed, horizon=5_000.0, warmup=500.0))
+    assert product_form_deviation(res) == box_scan_deviation(res)
+
+
+def test_deviation_equals_box_scan_on_one_node():
+    spec = mixed_network(np.random.default_rng(5), 1, 3, rate_range=(1.0, 3.0))
+    res = simulate(spec, SimConfig(seed=5, horizon=2_000.0, warmup=100.0))
+    assert product_form_deviation(res) == box_scan_deviation(res)
+
+
+def test_deviation_with_unvisited_occupancy_inside_range():
+    # node 1 never holds exactly one customer, so its marginal is zero there
+    joint = {(0, 0): 30.0, (0, 2): 10.0, (2, 1): 40.0, (2, 2): 20.0}
+    res = fake_result([{0: 40.0, 2: 60.0}, {0: 30.0, 1: 40.0, 2: 30.0}],
+                      joint, 100.0)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == pytest.approx(0.18)
+
+
+def test_deviation_supremum_outside_visited_states():
+    # the largest deviation is at the unvisited cell (2, 1): its product
+    # 0.2 * 0.5 is one rank below the visited (0, 1) at node 1, and exceeds
+    # every deviation at a visited state (at most 0.06)
+    joint = {(0, 0): 10.0, (0, 1): 40.0, (0, 2): 20.0, (1, 1): 10.0,
+             (2, 0): 10.0, (2, 2): 10.0}
+    res = fake_result([{0: 70.0, 1: 10.0, 2: 20.0},
+                       {0: 20.0, 1: 50.0, 2: 30.0}], joint, 100.0)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == 0.2 * 0.5
+    # with the all-top cell (0, 1) unvisited instead, it is the supremum
+    joint[(2, 1)] = joint.pop((0, 1))
+    res = fake_result([{0: 30.0, 1: 10.0, 2: 60.0},
+                       {0: 20.0, 1: 50.0, 2: 30.0}], joint, 100.0)
+    assert product_form_deviation(res) == box_scan_deviation(res)
+
+
+def test_deviation_supremum_next_to_visited_states_only_in_rank():
+    # the supremum is at the unvisited (0, 3), 12/39 * 12/39, against
+    # 0.079 at the visited states. Neither (0, 2) nor (-1, 3) is visited,
+    # so (0, 3) is next to no visited state in occupancy order; ranked by
+    # marginal (2, 0, 1 at node 0 and 1, 3, 2, 4 at node 1) it is one rank
+    # below the visited (2, 3)
+    joint = {(0, 1): 8.0, (0, 4): 4.0, (1, 1): 2.0, (1, 3): 3.0,
+             (1, 4): 1.0, (2, 1): 6.0, (2, 2): 6.0, (2, 3): 9.0}
+    res = fake_result([{0: 12.0, 1: 6.0, 2: 21.0},
+                       {1: 16.0, 2: 6.0, 3: 12.0, 4: 5.0}], joint, 39.0)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == (12.0 / 39.0) * (12.0 / 39.0)
+
+
+def test_deviation_equals_box_scan_on_sparse_histograms():
+    # product-form weights on small boxes with about 30% of the cells left
+    # unvisited and some visited with zero time: the supremum often lies
+    # outside the visited states
+    rng = np.random.default_rng(31)
+    outside = 0
+    for _ in range(300):
+        n_nodes = int(rng.integers(1, 5))
+        lo = rng.integers(0, 3, n_nodes)
+        hi = lo + rng.integers(0, 4, n_nodes)
+        axes = [rng.integers(0, 6, h - l + 1) for l, h in zip(lo, hi)]
+        joint = {}
+        for state in itertools.product(*map(range, lo, hi + 1)):
+            if rng.random() >= 0.3:
+                joint[state] = float(math.prod(
+                    int(a[x - l]) for a, x, l in zip(axes, state, lo)))
+        duration = sum(joint.values())
+        if duration == 0:
+            continue
+        marginals = [{} for _ in range(n_nodes)]
+        for state, w in sorted(joint.items()):
+            for n, x in enumerate(state):
+                if w:
+                    marginals[n][x] = marginals[n].get(x, 0.0) + w
+        res = fake_result(marginals, joint, duration, n_nodes)
+        value = product_form_deviation(res)
+        assert value == box_scan_deviation(res)
+        inside = max(abs(w / duration - math.prod(
+            marginals[n].get(x, 0.0) / duration for n, x in enumerate(s)))
+            for s, w in joint.items())
+        outside += value > inside
+    assert outside >= 30
+
+
+def test_deviation_on_70_nodes_scans_no_box():
+    # half the time everyone is empty, half the time everyone holds one
+    # customer: the box has 2**70 cells
+    n_nodes = 70
+    joint = {(0,) * n_nodes: 50.0, (1,) * n_nodes: 50.0}
+    res = fake_result([{0: 50.0, 1: 50.0}] * n_nodes, joint, 100.0, n_nodes)
+    assert product_form_deviation(res) == abs(0.5 - 0.5**70)
 
 
 # --- full comparison report -------------------------------------------------
