@@ -328,10 +328,13 @@ def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
     doc.table("marginal_weights", ["node", "state", "weight"],
               [[n + 1, x, w] for n in range(n_nodes)
                for x, w in result.marginal_weights[n].items()])
+    joint = None
     if result.joint_weights is not None and scenario.outputs.joint:
+        joint = list(zip(result.joint_states.tolist(),
+                         result.joint_weights.tolist()))
         header = [f"state{n + 1}" for n in range(n_nodes)] + ["weight"]
         doc.table("joint_weights", header,
-                  [[*state, w] for state, w in result.joint_weights.items()])
+                  [[*state, w] for state, w in joint])
     doc.note(f"effective_duration = {result.effective_duration!r}")
     doc.note(f"ties = {result.ties}")
     doc.payload.update({
@@ -349,10 +352,7 @@ def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
             [[x, w] for x, w in result.marginal_weights[n].items()]
             for n in range(n_nodes)
         ],
-        "joint_weights": (
-            [[list(state), w] for state, w in result.joint_weights.items()]
-            if result.joint_weights is not None and scenario.outputs.joint
-            else None),
+        "joint_weights": joint,
     })
 
 

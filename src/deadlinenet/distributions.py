@@ -292,11 +292,6 @@ class MinStats:
     cond_mean: np.ndarray
     mean_min: np.ndarray
 
-    @property
-    def rates(self) -> np.ndarray:
-        """Conditional service rates (reciprocal conditional means)."""
-        return 1.0 / self.cond_mean
-
 
 def compute_min_stats(spec: NetworkSpec) -> MinStats:
     """Assemble MinStats for a structurally valid spec.

@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidNetworkError
-from .model import NetworkSpec, structural_violations
+from .errors import InvalidNetworkError, QuadratureError
+from .model import Infinite, NetworkSpec, structural_violations
 
 __all__ = [
     "SimConfig",
@@ -64,8 +64,6 @@ BLOCK = 1024
 # a joint-state key word holds the digits of consecutive nodes in at most
 # this many bits, so it never overflows int64
 _WORD_BITS = 63
-# joint states decoded into tuples at a time when the histogram is built
-_DECODE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,19 @@ class EventCounts:
 class SimResult:
     """Time-averaged occupancy data from one run.
 
-    ``marginal_weights[n]`` maps occupancy -> accumulated time; when the
-    joint histogram was recorded the marginals are derived from it by
-    summing in sorted state order, so the marginal of ``joint_weights``
-    over node n reproduces ``marginal_weights[n]`` bit-exactly.
+    ``marginal_weights[n]`` maps occupancy -> accumulated time. The joint
+    histogram, when recorded, is two read-only arrays: ``joint_states``
+    (|J|, N) int64 holds the visited states, one per row, in strictly
+    increasing lexicographic order (node 1 first), and ``joint_weights``
+    (|J|,) the time accumulated in each; both are None without it. The
+    marginals are then derived from it by summing in that row order, so
+    the marginal of the joint over node n reproduces
+    ``marginal_weights[n]`` bit-exactly.
     """
 
     marginal_weights: tuple[dict[int, float], ...]
-    joint_weights: Optional[dict[tuple[int, ...], float]]
+    joint_states: Optional[np.ndarray]
+    joint_weights: Optional[np.ndarray]
     means: np.ndarray
     event_counts: EventCounts
     effective_duration: float
@@ -329,24 +332,22 @@ class _Sweep:
 
     def finish(self):
         """Sweep the carried events and close every interval at the horizon;
-        returns (marginal weights, joint weights or None, final occupancy)."""
+        returns (marginal weights, joint states or None, joint weights or
+        None, final occupancy)."""
         self.flush(math.inf)
         n_nodes = self.n_nodes
         if self.joint:
             self._accumulate(self._encode(self.occ)[None], np.array([self.time]),
                              np.array([self.horizon]))
+            states = self._digit(self.keys, np.arange(n_nodes))
+            weights = self.weights
             marginals = []
             for n in range(n_nodes):
-                sums = np.bincount(self._digit(self.keys, n), self.weights)
+                sums = np.bincount(states[:, n], weights)
                 seen = np.flatnonzero(sums)
                 marginals.append(dict(zip(seen.tolist(), sums[seen].tolist())))
-            joint = {}
-            everyone = np.arange(n_nodes)
-            for i in range(0, self.keys.shape[0], _DECODE_ROWS):
-                rows = slice(i, i + _DECODE_ROWS)
-                states = self._digit(self.keys[rows], everyone).tolist()
-                joint.update(zip(map(tuple, states),
-                                 self.weights[rows].tolist()))
+            states.flags.writeable = False
+            weights.flags.writeable = False
         else:
             self._accumulate((np.arange(n_nodes) << 32) | self.occ,
                              self.node_time, np.full(n_nodes, self.horizon))
@@ -356,8 +357,8 @@ class _Sweep:
             w = self.weights.tolist()
             marginals = [dict(zip(x[a:b], w[a:b]))
                          for a, b in zip(bounds[:-1], bounds[1:])]
-            joint = None
-        return tuple(marginals), joint, tuple(self.occ.tolist())
+            states = weights = None
+        return tuple(marginals), states, weights, tuple(self.occ.tolist())
 
 
 def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResult:
@@ -425,7 +426,7 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
             t, node = exit_time[stay], node[stay]
         sweep.flush(clock)
 
-    marginals, joint, final = sweep.finish()
+    marginals, states, weights, final = sweep.finish()
     duration = horizon - cfg.warmup
     means = np.array([
         sum(x * w for x, w in marginals[n].items()) / duration
@@ -438,7 +439,8 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
     )
     return SimResult(
         marginal_weights=marginals,
-        joint_weights=joint,
+        joint_states=states,
+        joint_weights=weights,
         means=means,
         event_counts=counts,
         effective_duration=duration,
@@ -448,11 +450,25 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
     )
 
 
-def simulate(spec: NetworkSpec, cfg: SimConfig = SimConfig()) -> SimResult:
-    """Run one simulation. Fully deterministic given (spec, cfg)."""
+def _check(spec: NetworkSpec) -> None:
+    """Reject a spec that cannot be simulated: a structural violation, or a
+    node none of whose components has a finite mean, where customers pile
+    up without limit and no time average settles. The latter raises the
+    QuadratureError that the race statistics raise on the same node."""
     report = structural_violations(spec)
     if report:
         raise InvalidNetworkError(report)
+    for n, node in enumerate(spec.nodes):
+        if not any(math.isfinite(c.mean()) for c in node.components):
+            k = next(k for k, c in enumerate(node.components)
+                     if not isinstance(c, Infinite))
+            raise QuadratureError(
+                f"mean of node {n + 1} component {k + 1} is not finite")
+
+
+def simulate(spec: NetworkSpec, cfg: SimConfig = SimConfig()) -> SimResult:
+    """Run one simulation. Fully deterministic given (spec, cfg)."""
+    _check(spec)
     rng = np.random.Generator(GENERATORS[cfg.generator_name](cfg.seed))
     return _run(spec, cfg, rng)
 
@@ -479,9 +495,7 @@ def replicate(spec: NetworkSpec, cfg: SimConfig, runs: int) -> ReplicateSummary:
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    report = structural_violations(spec)
-    if report:
-        raise InvalidNetworkError(report)
+    _check(spec)
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     bitgen = GENERATORS[cfg.generator_name]
     results = [_run(spec, cfg, np.random.Generator(bitgen(child)))

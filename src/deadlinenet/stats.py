@@ -1,11 +1,14 @@
-"""Comparison of simulated, exact, and baseline occupancy distributions."""
+"""Comparison of simulated, exact, and baseline occupancy distributions.
+
+Every pmf here is a dense 1-d numpy array over occupancies 0, 1, ...; the
+joint histogram is read as the simulator leaves it, the sorted arrays
+``SimResult.joint_states`` and ``SimResult.joint_weights``.
+"""
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from .model import NetworkSpec
 from .simulate import SimResult
 
 __all__ = [
-    "Pmf",
     "ComparisonReport",
     "empirical_marginal",
     "product_form_deviation",
@@ -27,45 +29,41 @@ __all__ = [
     "compare",
 ]
 
-Pmf = Union[Mapping[int, float], "np.ndarray", list, tuple]
 
-
-def _as_map(pmf: Pmf) -> Mapping[int, float]:
-    if isinstance(pmf, Mapping):
-        return pmf
-    arr = np.asarray(pmf, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("a pmf must be a mapping or a 1-d array")
-    return dict(enumerate(arr.tolist()))
-
-
-def empirical_marginal(result: SimResult, n: int) -> dict[int, float]:
-    """Time-average occupancy pmf of node n (weights / effective duration)."""
+def empirical_marginal(result: SimResult, n: int) -> np.ndarray:
+    """Time-average occupancy pmf of node n (weights / effective duration),
+    dense on 0, 1, ..., the largest occupancy visited."""
     if not result.effective_duration > 0:
         raise ValueError("effective duration must be positive")
-    duration = result.effective_duration
-    return {x: w / duration for x, w in result.marginal_weights[n].items()}
+    weights = result.marginal_weights[n]
+    pmf = np.zeros(max(weights) + 1)
+    pmf[list(weights)] = list(weights.values())
+    pmf /= result.effective_duration
+    return pmf
 
 
-def total_variation(p: Pmf, q: Pmf) -> float:
-    """(1/2) sum |p(x) - q(x)| over the union of the supports."""
-    pm, qm = _as_map(p), _as_map(q)
-    support = sorted(set(pm) | set(qm))
-    return 0.5 * sum(abs(pm.get(x, 0.0) - qm.get(x, 0.0)) for x in support)
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """(1/2) sum |p(x) - q(x)| of two pmfs given as 1-d arrays on 0, 1, ...;
+    the shorter one is zero past its end."""
+    gap = np.zeros(max(len(p), len(q)))
+    gap[:len(p)] = p
+    gap[:len(q)] -= q
+    # left to right in occupancy order: numpy's pairwise sum rounds
+    # differently in the last digits
+    return 0.5 * sum(np.abs(gap).tolist())
 
 
 def product_form_deviation(result: SimResult) -> float:
     """sup |empirical joint - product of empirical marginals|.
 
     The supremum runs over the box spanned by each node's visited
-    occupancy range; outside it the empirical joint is zero and the
-    product term is smaller than anything inside. It is found exactly
-    without enumerating the box, as the larger of two terms:
+    occupancies; outside it the empirical joint is zero and so is the
+    product. It is found exactly without enumerating the box, from the
+    visited states J (``result.joint_states``), as the larger of two terms:
 
-    - the maximum of |joint - product| over the visited states J in the
-      box. Each product is formed left to right, node by node, with the
-      same float operations as a scan of the box, so this term is the
-      scan's value bit for bit;
+    - the maximum of |joint - product| over J. Each product is formed left
+      to right, node by node, with the same float operations as a scan of
+      the box, so this term is the scan's value bit for bit;
     - the largest product at a box cell outside J, where the joint is
       zero. Rank each node's occupancies by descending marginal. Rounded
       multiplication of non-negative floats is monotone in each factor,
@@ -79,22 +77,19 @@ def product_form_deviation(result: SimResult) -> float:
       exceeds the first term are tested for membership in J, largest
       product first.
     """
-    joint = result.joint_weights
-    if joint is None:
+    states, weights = result.joint_states, result.joint_weights
+    if states is None:
         raise ValueError("joint occupancy was not recorded; "
                          "rerun with record_joint=True")
-    duration = result.effective_duration
-    n_nodes = len(result.marginal_weights)
+    n_nodes = states.shape[1]
     nodes = np.arange(n_nodes)[:, None]
-    marginals = [empirical_marginal(result, n) for n in range(n_nodes)]
-    lo, hi = np.array([(min(pmf), max(pmf)) for pmf in marginals]).T
-    size = hi - lo + 1
-    # marginal[n, x - lo[n]]: zero at unvisited occupancies in the range
-    # and in the padding past it, which ends every node's rank order
+    pmfs = [empirical_marginal(result, n) for n in range(n_nodes)]
+    size = np.array([len(pmf) for pmf in pmfs])
+    # marginal[n, x]: zero at unvisited occupancies and in the padding past
+    # the largest, which ends every node's rank order
     marginal = np.zeros((n_nodes, size.max() + 1))
-    for n, pmf in enumerate(marginals):
-        marginal[n, np.fromiter(pmf, np.int64, len(pmf)) - lo[n]] = (
-            np.fromiter(pmf.values(), float, len(pmf)))
+    for n, pmf in enumerate(pmfs):
+        marginal[n, :len(pmf)] = pmf
     # stable, so in-range zeros rank before the padding
     order = np.argsort(-marginal, axis=1, kind="stable")
     ranked = marginal[nodes, order]
@@ -102,20 +97,18 @@ def product_form_deviation(result: SimResult) -> float:
     worse = np.empty_like(order)
     worse[nodes, order] = np.arange(1, order.shape[1] + 1)
 
-    # one column per visited state, as offsets into the box
-    cells = np.fromiter(itertools.chain.from_iterable(joint), np.int64,
-                        len(joint) * n_nodes).reshape(len(joint), n_nodes).T
-    cells -= lo[:, None]
-    weights = np.fromiter(joint.values(), float, len(joint))
+    # one column per visited state
+    cells = states.T
     # the simulator records only states held for a positive time, all
     # inside the box; a result built by hand may list others
-    inside = ((cells >= 0) & (cells < size[:, None])).all(axis=0)
+    inside = (cells < size[:, None]).all(axis=0)
     if not inside.all():
         cells, weights = cells[:, inside], weights[inside]
     product = marginal[0, cells[0]]
     for n in range(1, n_nodes):
         product *= marginal[n, cells[n]]
-    worst = float(np.abs(weights / duration - product).max(initial=0.0))
+    worst = float(np.abs(weights / result.effective_duration - product)
+                  .max(initial=0.0))
 
     # node by node, the products at the cells one rank worse at node n
     # than a visited state, formed left to right on top of that state's
@@ -138,12 +131,12 @@ def product_form_deviation(result: SimResult) -> float:
         prefix = factor * prefix if n else factor
     products = np.concatenate(products)
     by_size = np.argsort(-products, kind="stable")
-    cells = (np.concatenate(candidates, axis=1)[:, by_size]
-             + lo[:, None]).T.tolist()
+    cells = np.concatenate(candidates, axis=1)[:, by_size].T.tolist()
+    visited = set(zip(*states.T.tolist()))
     for product, cell in zip(products[by_size].tolist(), cells):
         if product <= worst:
             break
-        if tuple(cell) not in joint:
+        if tuple(cell) not in visited:
             return product
     return worst
 
@@ -186,10 +179,7 @@ def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
         for n in range(spec.n_nodes)
     )
     distances = np.array([
-        total_variation(
-            empirical_marginal(result, n),
-            dict(enumerate(pf.marginal_pmf(n).tolist())),
-        )
+        total_variation(empirical_marginal(result, n), pf.marginal_pmf(n))
         for n in range(spec.n_nodes)
     ])
     sup = (product_form_deviation(result)

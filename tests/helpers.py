@@ -3,8 +3,9 @@ statistics, a single-draw inverse-transform sampler, the densities of the
 atomless laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
-the product-form deviation, samplers and the joint pmf of the exact
-solution, and random network generators for property checks."""
+the product-form deviation and the total variation over the union of two
+supports as references, samplers and the joint pmf of the exact solution,
+and random network generators for property checks."""
 
 import itertools
 import math
@@ -19,7 +20,6 @@ from deadlinenet import (
     NodeSpec,
     Uniform,
     Weibull,
-    empirical_marginal,
     validate,
 )
 
@@ -149,17 +149,18 @@ def box_scan_deviation(result):
         raise ValueError("joint occupancy was not recorded; "
                          "rerun with record_joint=True")
     duration = result.effective_duration
-    marginals = [empirical_marginal(result, n)
-                 for n in range(len(result.marginal_weights))]
+    visited = dict(zip(map(tuple, result.joint_states.tolist()),
+                       result.joint_weights.tolist()))
     ranges = []
     per_node = []
-    for pmf in marginals:
-        lo, hi = min(pmf), max(pmf)
+    for weights in result.marginal_weights:
+        lo, hi = min(weights), max(weights)
         ranges.append(range(lo, hi + 1))
-        per_node.append({x: pmf.get(x, 0.0) for x in range(lo, hi + 1)})
+        per_node.append({x: weights.get(x, 0.0) / duration
+                         for x in range(lo, hi + 1)})
     worst = 0.0
     for state in itertools.product(*ranges):
-        joint = result.joint_weights.get(state, 0.0) / duration
+        joint = visited.get(state, 0.0) / duration
         prod = 1.0
         for n, x in enumerate(state):
             prod *= per_node[n][x]
@@ -167,6 +168,14 @@ def box_scan_deviation(result):
         if dev > worst:
             worst = dev
     return worst
+
+
+def union_total_variation(p, q):
+    """(1/2) sum |p(x) - q(x)| of two pmfs given as {occupancy: probability}
+    mappings, over the union of their supports in increasing order: the
+    reference for total_variation."""
+    support = sorted(set(p) | set(q))
+    return 0.5 * sum(abs(p.get(x, 0.0) - q.get(x, 0.0)) for x in support)
 
 
 def mc_draws(dist, n, rng):

@@ -317,6 +317,31 @@ def test_tiny_weibull_shape_exits_with_a_reserved_code(runner, tmp_path, partner
         assert "node 1" in result.stderr and "component 1" in result.stderr
 
 
+@pytest.mark.parametrize("partner, code", [("exp(rate=1.0)", 0),
+                                           ("inf", EXIT_NUMERICAL)])
+def test_simulate_needs_a_component_with_a_finite_mean(runner, tmp_path,
+                                                       partner, code):
+    # Weibull(0.005, 1)'s mean overflows a float; with no partner of finite
+    # mean, customers pile up and a simulated mean only grows with the
+    # horizon
+    cfg = write_config(tmp_path, f"""\
+        [network]
+        nodes = 1
+        components = 2
+        arrivals = 1.0
+        node1.components = weibull(0.005, 1.0), {partner}
+        node1.route1 =
+        node1.route2 =
+        """)
+    for extra in ([], ["--runs", "2"]):
+        result = runner.invoke(main, ["simulate", "--config", cfg, *FAST,
+                                      *extra])
+        assert result.exit_code == code, (result.output, result.stderr)
+    if code:
+        assert ("mean of node 1 component 1 is not finite"
+                in result.stderr)
+
+
 def test_usage_errors_use_reserved_exit_code(runner):
     result = runner.invoke(main, ["solve", "--format", "yaml"])
     assert result.exit_code == 2

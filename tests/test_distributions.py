@@ -192,7 +192,6 @@ def test_compute_min_stats_example():
     # E[min] decomposes over achieving components
     np.testing.assert_allclose(
         (stats.p * stats.cond_mean).sum(axis=1), stats.mean_min, atol=1e-8)
-    np.testing.assert_allclose(stats.rates, 1.0 / stats.cond_mean)
 
 
 def test_compute_min_stats_rejects_invalid_spec():

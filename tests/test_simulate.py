@@ -12,6 +12,7 @@ from deadlinenet import (
     NodeSpec,
     SimConfig,
     compute_min_stats,
+    empirical_marginal,
     product_form,
     replicate,
     simulate,
@@ -51,7 +52,8 @@ def test_simulate_rejects_structurally_invalid_spec():
 def test_repeat_runs_are_identical(example_run):
     again = simulate(two_node_deadline_example(), CFG)
     assert np.array_equal(example_run.means, again.means)
-    assert example_run.joint_weights == again.joint_weights
+    assert np.array_equal(example_run.joint_states, again.joint_states)
+    assert np.array_equal(example_run.joint_weights, again.joint_weights)
     assert example_run.marginal_weights == again.marginal_weights
     assert example_run.final_occupancy == again.final_occupancy
     assert example_run.ties == again.ties
@@ -83,14 +85,26 @@ def test_time_weight_accounting(example_run):
     assert duration == CFG.horizon - CFG.warmup
     for weights in example_run.marginal_weights:
         assert sum(weights.values()) == pytest.approx(duration, rel=1e-9)
-    assert sum(example_run.joint_weights.values()) == pytest.approx(
+    assert example_run.joint_weights.sum() == pytest.approx(
         duration, rel=1e-9)
+
+
+def test_joint_arrays_are_sorted_and_read_only(example_run):
+    states, weights = example_run.joint_states, example_run.joint_weights
+    assert states.dtype == np.int64 and weights.dtype == np.float64
+    assert states.shape == (len(weights), 2) and weights.shape == (len(weights),)
+    rows = states.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    with pytest.raises(ValueError):
+        states[0, 0] = 1
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_marginals_are_exact_sums_of_joint(example_run):
     derived = [{} for _ in range(2)]
-    for state in sorted(example_run.joint_weights):
-        w = example_run.joint_weights[state]
+    for state, w in zip(example_run.joint_states.tolist(),
+                        example_run.joint_weights.tolist()):
         for n, x in enumerate(state):
             derived[n][x] = derived[n].get(x, 0.0) + w
     for n in range(2):
@@ -109,7 +123,8 @@ def test_no_arrivals_stays_empty():
     spec = NetworkSpec(nodes=two_node_deadline_example().nodes,
                        arrival_rates=(0.0, 0.0))
     res = simulate(spec, SimConfig(seed=1, horizon=100.0, warmup=10.0))
-    assert res.joint_weights == {(0, 0): 90.0}
+    assert res.joint_states.tolist() == [[0, 0]]
+    assert res.joint_weights.tolist() == [90.0]
     assert res.marginal_weights == ({0: 90.0}, {0: 90.0})
     assert np.array_equal(res.means, [0.0, 0.0])
     assert res.event_counts.arrivals.sum() == 0
@@ -120,10 +135,9 @@ def test_single_markovian_node_matches_poisson():
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     res = simulate(spec, SimConfig(seed=5, horizon=100_000.0, warmup=1_000.0))
     assert abs(res.means[0] - 1.0) < 0.05
-    duration = res.effective_duration
-    empirical = {x: w / duration for x, w in res.marginal_weights[0].items()}
-    support = max(empirical) + 1
-    reference = {x: poisson_pmf(x, 1.0) for x in range(support + 1)}
+    empirical = empirical_marginal(res, 0)
+    reference = np.array([poisson_pmf(x, 1.0)
+                          for x in range(len(empirical) + 1)])
     assert total_variation(empirical, reference) < 0.02
 
 
@@ -145,7 +159,7 @@ def test_no_ties_with_continuous_components(example_run):
 def test_joint_recording_optional():
     cfg = SimConfig(seed=7, horizon=3_000.0, warmup=300.0, record_joint=False)
     res = simulate(two_node_deadline_example(), cfg)
-    assert res.joint_weights is None
+    assert res.joint_states is None and res.joint_weights is None
     with_joint = simulate(two_node_deadline_example(), CFG)
     # same event stream either way; only the accumulation path differs
     for n in range(2):
@@ -160,7 +174,7 @@ def assert_same_trajectories(spec, cfg):
     counts agree exactly and the histograms up to summation order."""
     with_joint = simulate(spec, cfg)
     without = simulate(spec, dataclasses.replace(cfg, record_joint=False))
-    assert without.joint_weights is None
+    assert without.joint_states is None and without.joint_weights is None
     for name in ("external", "arrivals", "departures"):
         assert np.array_equal(getattr(with_joint.event_counts, name),
                               getattr(without.event_counts, name))
@@ -195,8 +209,7 @@ def test_sojourns_spanning_many_blocks():
     assert (counts.arrivals - counts.departures.sum(axis=1)
             == np.array(res.final_occupancy)).all()
     duration = cfg.horizon - cfg.warmup
-    assert sum(res.joint_weights.values()) == pytest.approx(duration,
-                                                            rel=1e-12)
+    assert res.joint_weights.sum() == pytest.approx(duration, rel=1e-12)
     assert sum(res.marginal_weights[0].values()) == pytest.approx(
         duration, rel=1e-12)
     # mean occupancy 10 * 1000 * (1 - e^-2) ~ 8647, sd of the time average
@@ -217,11 +230,13 @@ def test_joint_of_a_long_chain_needs_several_key_words():
                        arrival_rates=(1.0,) + (0.0,) * (n_nodes - 1))
     res, _ = assert_same_trajectories(
         spec, SimConfig(seed=4, horizon=120.0, warmup=80.0))
-    states = np.array(list(res.joint_weights))
+    states = res.joint_states
+    assert states.shape == (len(res.joint_weights), n_nodes)
     assert math.prod(int(top) + 1 for top in states.max(axis=0)) > 2**63
-    assert list(res.joint_weights) == sorted(res.joint_weights)
+    rows = states.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
     derived = [{} for _ in range(n_nodes)]
-    for state, w in res.joint_weights.items():
+    for state, w in zip(rows, res.joint_weights.tolist()):
         for n, x in enumerate(state):
             derived[n][x] = derived[n].get(x, 0.0) + w
     assert derived == list(res.marginal_weights)
@@ -251,7 +266,9 @@ def test_replicate_is_deterministic():
     a = replicate(two_node_deadline_example(), CFG, 2)
     b = replicate(two_node_deadline_example(), CFG, 2)
     assert np.array_equal(a.means, b.means)
-    assert a.results[1].joint_weights == b.results[1].joint_weights
+    assert np.array_equal(a.results[1].joint_states, b.results[1].joint_states)
+    assert np.array_equal(a.results[1].joint_weights,
+                          b.results[1].joint_weights)
 
 
 def test_replicate_rejects_bad_run_count():

@@ -28,18 +28,28 @@ from helpers import (
     mixed_network,
     poisson_pmf,
     random_exponential_network,
+    union_total_variation,
 )
 
 
 def fake_result(marginals, joint, duration, n_nodes=2):
+    """A SimResult with the given marginal weights and, unless None, the
+    joint weights of a {state: weight} dict, as the simulator's arrays."""
     zeros = np.zeros(n_nodes, dtype=np.int64)
     counts = EventCounts(external=zeros.copy(), arrivals=zeros.copy(),
                          departures=np.zeros((n_nodes, 1), dtype=np.int64))
     means = np.array([
         sum(x * w for x, w in m.items()) / duration for m in marginals
     ])
+    states = weights = None
+    if joint is not None:
+        items = sorted(joint.items())
+        states = np.array([state for state, _ in items],
+                          dtype=np.int64).reshape(len(items), n_nodes)
+        weights = np.array([w for _, w in items])
     return SimResult(
-        marginal_weights=tuple(marginals), joint_weights=joint, means=means,
+        marginal_weights=tuple(marginals), joint_states=states,
+        joint_weights=weights, means=means,
         event_counts=counts, effective_duration=duration,
         final_occupancy=(0,) * n_nodes, ties=0,
         config=SimConfig(seed=0, horizon=duration, warmup=0.0))
@@ -55,14 +65,17 @@ def example_run():
 
 def test_empirical_marginal_normalization():
     res = fake_result([{0: 75.0, 1: 25.0}, {0: 100.0}], None, 100.0)
-    assert empirical_marginal(res, 0) == {0: 0.75, 1: 0.25}
-    assert empirical_marginal(res, 1) == {0: 1.0}
+    assert empirical_marginal(res, 0).tolist() == [0.75, 0.25]
+    assert empirical_marginal(res, 1).tolist() == [1.0]
+    # dense from 0: unvisited occupancies read 0
+    res = fake_result([{1: 60.0, 3: 40.0}, {0: 100.0}], None, 100.0)
+    assert empirical_marginal(res, 0).tolist() == [0.0, 0.6, 0.0, 0.4]
 
 
 def test_empirical_marginal_sums_to_one(example_run):
     for n in range(2):
         pmf = empirical_marginal(example_run, n)
-        assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_empirical_marginal_requires_positive_duration():
@@ -75,37 +88,66 @@ def test_empirical_marginal_requires_positive_duration():
 # --- total variation --------------------------------------------------------
 
 def test_total_variation_identical_is_zero():
-    p = {0: 0.4, 1: 0.6}
-    assert total_variation(p, dict(p)) == 0.0
+    p = np.array([0.4, 0.6])
+    assert total_variation(p, p.copy()) == 0.0
 
 
 def test_total_variation_disjoint_point_masses():
-    assert total_variation({0: 1.0}, {1: 1.0}) == 1.0
+    assert total_variation(np.array([1.0]), np.array([0.0, 1.0])) == 1.0
 
 
 def test_total_variation_poisson_pair():
     # direct-summation value for Poisson(1) vs Poisson(1.1), frozen
-    p = {x: poisson_pmf(x, 1.0) for x in range(45)}
-    q = {x: poisson_pmf(x, 1.1) for x in range(45)}
+    p = np.array([poisson_pmf(x, 1.0) for x in range(45)])
+    q = np.array([poisson_pmf(x, 1.1) for x in range(45)])
     assert total_variation(p, q) == pytest.approx(0.03672960657691758,
                                                   abs=1e-12)
 
 
 def test_total_variation_accepts_arrays():
-    assert total_variation([0.5, 0.5], {0: 0.5, 1: 0.5}) == 0.0
-    assert total_variation(np.array([1.0]), {1: 1.0}) == 1.0
+    assert total_variation([0.5, 0.5], np.array([0.5, 0.5])) == 0.0
+    assert total_variation(np.array([1.0]), [0.0, 1.0]) == 1.0
+
+
+def test_total_variation_of_unequal_lengths():
+    # the shorter pmf is zero past its end, whichever argument it is
+    p = np.array([0.5, 0.5])
+    q = np.array([0.5, 0.25, 0.25])
+    assert total_variation(p, q) == 0.25
+    assert total_variation(q, p) == 0.25
+    assert total_variation(p, np.array([0.5, 0.5, 0.0, 0.0])) == 0.0
+    # inputs are read, not padded in place
+    assert p.tolist() == [0.5, 0.5] and q.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_total_variation_symmetry_and_triangle():
     rng = np.random.default_rng(13)
     for _ in range(25):
         size = int(rng.integers(2, 8))
-        p, q, r = (dict(enumerate(rng.dirichlet(np.ones(size))))
-                   for _ in range(3))
+        p, q, r = (rng.dirichlet(np.ones(size)) for _ in range(3))
         d_pq = total_variation(p, q)
         assert d_pq == total_variation(q, p)
         assert 0.0 <= d_pq <= 1.0
         assert d_pq <= total_variation(p, r) + total_variation(r, q) + 1e-15
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_total_variation_equals_union_sum_on_seeded_runs(seed):
+    # bit for bit the sum over the union of the supports, in occupancy
+    # order, of the empirical and the exact Poisson pmf
+    mixed = mixed_network(np.random.default_rng(seed), 8, 3, max_total=0.5,
+                          rate_range=(0.05, 0.25))
+    for spec in (two_node_deadline_example(), mixed):
+        res = simulate(spec, SimConfig(seed=seed, horizon=2_000.0,
+                                       warmup=100.0, record_joint=False))
+        pf = product_form(spec)
+        for n in range(spec.n_nodes):
+            empirical = {x: w / res.effective_duration
+                         for x, w in res.marginal_weights[n].items()}
+            exact = pf.marginal_pmf(n)
+            assert total_variation(empirical_marginal(res, n), exact) == (
+                union_total_variation(empirical,
+                                      dict(enumerate(exact.tolist()))))
 
 
 # --- joint-vs-product deviation ---------------------------------------------
@@ -136,7 +178,8 @@ def test_deviation_invariant_under_node_permutation(example_run):
     value = product_form_deviation(example_run)
     flipped = fake_result(
         [example_run.marginal_weights[1], example_run.marginal_weights[0]],
-        {(y, x): w for (x, y), w in example_run.joint_weights.items()},
+        {(y, x): w for (x, y), w in zip(example_run.joint_states.tolist(),
+                                        example_run.joint_weights.tolist())},
         example_run.effective_duration)
     assert product_form_deviation(flipped) == value
 
