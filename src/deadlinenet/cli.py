@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +30,7 @@ from .config import (
     ScenarioConfig,
     bundled_scenario_path,
     load_scenario,
+    setting_items,
 )
 from .distributions import compute_min_stats
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     QuadratureError,
 )
 from .model import NOT_OPEN
-from .simulate import SimConfig, replicate, simulate
+from .simulate import replicate, simulate
 from .stats import compare as stats_compare
 
 __all__ = [
@@ -175,85 +177,36 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared option plumbing
+# the command runner
 
-def _scenario_options(fn):
-    for option in reversed([
-        click.option("--config", "config_path",
-                     type=click.Path(exists=True, dir_okay=False),
-                     default=None,
-                     help="Scenario file (default: bundled two-node example)."),
-        click.option("--format", "fmt", type=click.Choice(OUTPUT_FORMATS),
-                     default=None, help="Override the [outputs] format."),
-        click.option("--out", "out_path",
-                     type=click.Path(dir_okay=False, writable=True),
-                     default=None, help="Write to a file instead of stdout."),
-    ]):
-        fn = option(fn)
-    return fn
+_SCENARIO_OPTIONS = (
+    click.option("--config", "config_path",
+                 type=click.Path(exists=True, dir_okay=False),
+                 default=None,
+                 help="Scenario file (default: bundled two-node example)."),
+    click.option("--format", "fmt", type=click.Choice(OUTPUT_FORMATS),
+                 default=None, help="Override the [outputs] format."),
+    click.option("--out", "out_path",
+                 type=click.Path(dir_okay=False, writable=True),
+                 default=None, help="Write to a file instead of stdout."),
+)
 
-
-def _sim_options(fn):
-    for option in reversed([
-        click.option("--seed", type=int, default=None,
-                     help="Override the [sim] seed."),
-        click.option("--horizon", type=float, default=None,
-                     help="Override the simulated time horizon."),
-        click.option("--warmup", type=float, default=None,
-                     help="Override the discarded warmup period."),
-        click.option("--no-joint", is_flag=True, default=False,
-                     help="Skip the joint occupancy histogram."),
-    ]):
-        fn = option(fn)
-    return fn
-
-
-def _load(config_path: Optional[str]) -> ScenarioConfig:
-    return load_scenario(config_path or bundled_scenario_path())
-
-
-def _effective_sim(scenario: ScenarioConfig, seed, horizon, warmup,
-                   no_joint) -> SimConfig:
-    base = scenario.sim
-    kwargs = {
-        "seed": base.seed if seed is None else seed,
-        "generator_name": base.generator_name,
-        "horizon": base.horizon if horizon is None else horizon,
-        "warmup": base.warmup if warmup is None else warmup,
-        "record_joint": base.record_joint and not no_joint,
-    }
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+_SIM_OPTIONS = (
+    click.option("--seed", type=int, default=None,
+                 help="Override the [sim] seed."),
+    click.option("--horizon", type=float, default=None,
+                 help="Override the simulated time horizon."),
+    click.option("--warmup", type=float, default=None,
+                 help="Override the discarded warmup period."),
+    click.option("--no-joint", is_flag=True, default=False,
+                 help="Skip the joint occupancy histogram."),
+)
 
 
 def _fail(message: str, code: int):
     click.echo(message, err=True)
     sys.exit(code)
 
-
-def _guarded(body):
-    try:
-        body()
-    except ConfigError as exc:
-        _fail(f"config error: {exc}", EXIT_VALIDATION)
-    except InvalidNetworkError as exc:
-        click.echo("invalid network:", err=True)
-        for violation in exc.report:
-            click.echo(f"  {violation}", err=True)
-        openness_only = all(v.kind == NOT_OPEN for v in exc.report)
-        sys.exit(EXIT_OPENNESS if openness_only else EXIT_VALIDATION)
-    except InfiniteMeanError as exc:
-        _fail(f"contract violation: {exc}", EXIT_VALIDATION)
-    except OpennessError as exc:
-        _fail(f"openness error: {exc}", EXIT_OPENNESS)
-    except QuadratureError as exc:
-        _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
-
-
-# ---------------------------------------------------------------------------
-# commands
 
 @click.group()
 @click.version_option(package_name="deadlinenet")
@@ -262,55 +215,93 @@ def main():
     with competing service times and outcome-dependent routing."""
 
 
-@main.command("solve")
-@_scenario_options
-def cmd_solve(config_path, fmt, out_path):
+def _command(name: str, *extra_options, sim: bool = False):
+    """Register ``build(doc, scenario, **extra)`` as command ``name``.
+
+    The runner loads the scenario (the bundled one by default), merges the
+    simulation overrides into ``scenario.sim`` when ``sim`` is set, renders
+    the document ``build`` fills in the chosen format to stdout or
+    ``--out``, and maps errors to exit codes. A message returned by
+    ``build`` is reported after the document is written, with exit 5.
+    """
+    def register(build):
+        def run(config_path, fmt, out_path, **extra):
+            try:
+                scenario = load_scenario(config_path or bundled_scenario_path())
+                if sim:
+                    changes = {key: extra.pop(key)
+                               for key in ("seed", "horizon", "warmup")}
+                    changes = {k: v for k, v in changes.items() if v is not None}
+                    if extra.pop("no_joint"):
+                        changes["record_joint"] = False
+                    try:
+                        scenario = replace(
+                            scenario, sim=replace(scenario.sim, **changes))
+                    except ValueError as exc:
+                        raise ConfigError(str(exc)) from None
+                doc = _Doc(name)
+                failure = build(doc, scenario, **extra)
+                _emit(_render(doc, fmt or scenario.outputs.format), out_path)
+                if failure:
+                    _fail(failure, EXIT_NUMERICAL)
+            except ConfigError as exc:
+                _fail(f"config error: {exc}", EXIT_VALIDATION)
+            except InvalidNetworkError as exc:
+                click.echo("invalid network:", err=True)
+                for violation in exc.report:
+                    click.echo(f"  {violation}", err=True)
+                openness_only = all(v.kind == NOT_OPEN for v in exc.report)
+                sys.exit(EXIT_OPENNESS if openness_only else EXIT_VALIDATION)
+            except InfiniteMeanError as exc:
+                _fail(f"contract violation: {exc}", EXIT_VALIDATION)
+            except OpennessError as exc:
+                _fail(f"openness error: {exc}", EXIT_OPENNESS)
+            except QuadratureError as exc:
+                _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
+
+        options = _SCENARIO_OPTIONS + (_SIM_OPTIONS if sim else ()) + extra_options
+        for option in reversed(options):
+            run = option(run)
+        return main.command(name, help=build.__doc__)(run)
+    return register
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+@_command("solve")
+def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
     """Exact equilibrium occupancies and Poisson marginals."""
-    def body():
-        scenario = _load(config_path)
-        spec = scenario.network
-        pf = product_form(spec)
-        traffic = pf.traffic
-        doc = _Doc("solve")
-        doc.table("rho", ["node", "rho"],
-                  [[n + 1, float(pf.rho[n])] for n in range(spec.n_nodes)])
-        doc.table("traffic", ["node", "component", "flow"],
-                  [[n + 1, k + 1, float(traffic.alpha[n, k])]
-                   for n in range(spec.n_nodes)
-                   for k in range(spec.n_components)])
-        limit = scenario.outputs.marginals_upto
-        uptos = [pf.truncation(n) if limit is None else limit
-                 for n in range(spec.n_nodes)]
-        n_rows = sum(uptos) + len(uptos)
-        if n_rows > _MAX_MARGINAL_ROWS:
-            raise ConfigError(
-                f"the marginal table would have {n_rows} rows, more than "
-                f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
-        marginal_rows = []
-        pmf_payload = []
-        for n, upto in enumerate(uptos):
-            pmf = pf.marginal_pmf(n, upto).tolist()
-            pmf_payload.append({"node": n + 1, "pmf": pmf})
-            marginal_rows.extend([[n + 1, x, p] for x, p in enumerate(pmf)])
-        doc.table("marginal", ["node", "state", "probability"], marginal_rows)
-        doc.payload.update({
-            "rho": pf.rho,
-            "traffic": traffic.alpha,
-            "residual": traffic.residual,
-            "marginals": pmf_payload,
-        })
-        _emit(_render(doc, fmt or scenario.outputs.format), out_path)
-    _guarded(body)
-
-
-def _sim_config_payload(cfg: SimConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "generator": cfg.generator_name,
-        "horizon": cfg.horizon,
-        "warmup": cfg.warmup,
-        "record_joint": cfg.record_joint,
-    }
+    spec = scenario.network
+    pf = product_form(spec)
+    traffic = pf.traffic
+    doc.table("rho", ["node", "rho"],
+              [[n + 1, float(pf.rho[n])] for n in range(spec.n_nodes)])
+    doc.table("traffic", ["node", "component", "flow"],
+              [[n + 1, k + 1, float(traffic.alpha[n, k])]
+               for n in range(spec.n_nodes)
+               for k in range(spec.n_components)])
+    limit = scenario.outputs.marginals_upto
+    uptos = [pf.truncation(n) if limit is None else limit
+             for n in range(spec.n_nodes)]
+    n_rows = sum(uptos) + len(uptos)
+    if n_rows > _MAX_MARGINAL_ROWS:
+        raise ConfigError(
+            f"the marginal table would have {n_rows} rows, more than "
+            f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
+    marginal_rows = []
+    pmf_payload = []
+    for n, upto in enumerate(uptos):
+        pmf = pf.marginal_pmf(n, upto).tolist()
+        pmf_payload.append({"node": n + 1, "pmf": pmf})
+        marginal_rows.extend([[n + 1, x, p] for x, p in enumerate(pmf)])
+    doc.table("marginal", ["node", "state", "probability"], marginal_rows)
+    doc.payload.update({
+        "rho": pf.rho,
+        "traffic": traffic.alpha,
+        "residual": traffic.residual,
+        "marginals": pmf_payload,
+    })
 
 
 def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
@@ -338,7 +329,7 @@ def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
     doc.note(f"effective_duration = {result.effective_duration!r}")
     doc.note(f"ties = {result.ties}")
     doc.payload.update({
-        "config": _sim_config_payload(result.config),
+        "config": dict(setting_items("sim", result.config)),
         "means": result.means,
         "effective_duration": result.effective_duration,
         "ties": result.ties,
@@ -356,152 +347,122 @@ def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
     })
 
 
-@main.command("simulate")
-@_scenario_options
-@_sim_options
-@click.option("--runs", type=int, default=1,
-              help="Independent replications (pooled summary when > 1).")
-def cmd_simulate(config_path, fmt, out_path, seed, horizon, warmup,
-                 no_joint, runs):
+@_command("simulate",
+          click.option("--runs", type=int, default=1,
+                       help="Independent replications (pooled summary when > 1)."),
+          sim=True)
+def cmd_simulate(doc: _Doc, scenario: ScenarioConfig, runs: int):
     """Event-driven simulation of the scenario."""
-    def body():
-        scenario = _load(config_path)
-        sim_cfg = _effective_sim(scenario, seed, horizon, warmup, no_joint)
-        if runs < 1:
-            raise ConfigError(f"--runs must be >= 1, got {runs}")
-        doc = _Doc("simulate")
-        if runs == 1:
-            result = simulate(scenario.network, sim_cfg)
-            _sim_doc(doc, scenario, result)
-        else:
-            summary = replicate(scenario.network, sim_cfg, runs)
-            doc.table("pooled_means", ["node", "mean", "standard_error"],
-                      [[n + 1, float(summary.means[n]),
-                        float(summary.standard_errors[n])]
-                       for n in range(scenario.network.n_nodes)])
-            doc.table("run_means", ["run", "node", "mean"],
-                      [[r + 1, n + 1, float(res.means[n])]
-                       for r, res in enumerate(summary.results)
-                       for n in range(scenario.network.n_nodes)])
-            doc.note(f"runs = {runs}")
-            doc.payload.update({
-                "runs": runs,
-                "pooled_means": summary.means,
-                "standard_errors": summary.standard_errors,
-                "run_means": summary.per_run_means,
-                "config": _sim_config_payload(sim_cfg),
-            })
-        _emit(_render(doc, fmt or scenario.outputs.format), out_path)
-    _guarded(body)
+    if runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {runs}")
+    if runs == 1:
+        _sim_doc(doc, scenario, simulate(scenario.network, scenario.sim))
+        return
+    summary = replicate(scenario.network, scenario.sim, runs)
+    doc.table("pooled_means", ["node", "mean", "standard_error"],
+              [[n + 1, float(summary.means[n]),
+                float(summary.standard_errors[n])]
+               for n in range(scenario.network.n_nodes)])
+    doc.table("run_means", ["run", "node", "mean"],
+              [[r + 1, n + 1, float(res.means[n])]
+               for r, res in enumerate(summary.results)
+               for n in range(scenario.network.n_nodes)])
+    doc.note(f"runs = {runs}")
+    doc.payload.update({
+        "runs": runs,
+        "pooled_means": summary.means,
+        "standard_errors": summary.standard_errors,
+        "run_means": summary.per_run_means,
+        "config": dict(setting_items("sim", scenario.sim)),
+    })
 
 
-@main.command("compare")
-@_scenario_options
-@_sim_options
-def cmd_compare(config_path, fmt, out_path, seed, horizon, warmup, no_joint):
+@_command("compare", sim=True)
+def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
     """Simulated vs exact vs baseline occupancies."""
-    def body():
-        scenario = _load(config_path)
-        sim_cfg = _effective_sim(scenario, seed, horizon, warmup, no_joint)
-        result = simulate(scenario.network, sim_cfg)
-        report = stats_compare(scenario.network, result)
-        doc = _Doc("compare")
-        doc.table("means",
-                  ["node", "simulated", "exact", "full_insensitivity",
-                   "service_time_insensitivity"],
-                  [[n + 1, row["simulated"], row["exact"],
-                    row["full_insensitivity"],
-                    row["service_time_insensitivity"]]
-                   for n, row in enumerate(report.mean_table)])
-        doc.table("marginal_tv", ["node", "tv_distance"],
-                  [[n + 1, float(report.marginal_distance[n])]
-                   for n in range(scenario.network.n_nodes)])
-        if report.product_form_sup is not None:
-            doc.note(f"product_form_sup = {report.product_form_sup!r}")
-        doc.payload.update({
-            "mean_table": list(report.mean_table),
-            "marginal_distance": report.marginal_distance,
-            "product_form_sup": report.product_form_sup,
-            "sample_info": report.sample_info,
-        })
-        _emit(_render(doc, fmt or scenario.outputs.format), out_path)
-    _guarded(body)
+    result = simulate(scenario.network, scenario.sim)
+    report = stats_compare(scenario.network, result)
+    doc.table("means",
+              ["node", "simulated", "exact", "full_insensitivity",
+               "service_time_insensitivity"],
+              [[n + 1, row["simulated"], row["exact"],
+                row["full_insensitivity"],
+                row["service_time_insensitivity"]]
+               for n, row in enumerate(report.mean_table)])
+    doc.table("marginal_tv", ["node", "tv_distance"],
+              [[n + 1, float(report.marginal_distance[n])]
+               for n in range(scenario.network.n_nodes)])
+    if report.product_form_sup is not None:
+        doc.note(f"product_form_sup = {report.product_form_sup!r}")
+    doc.payload.update({
+        "mean_table": list(report.mean_table),
+        "marginal_distance": report.marginal_distance,
+        "product_form_sup": report.product_form_sup,
+        "sample_info": report.sample_info,
+    })
 
 
-@main.command("expand")
-@_scenario_options
-def cmd_expand(config_path, fmt, out_path):
+@_command("expand")
+def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
     """Equivalent Markovian network, solved both ways as a cross-check."""
-    def body():
-        scenario = _load(config_path)
-        spec = scenario.network
-        stats = compute_min_stats(spec)
-        expanded = expand_network(spec, stats)
-        solution = solve_expanded(expanded)
-        pf = product_form(spec, stats)
-        doc = _Doc("expand")
-        header = ["index", "node", "component", "external_rate",
-                  "achievement", "mean_service", "flow", "rho"]
-        node_rows = [[i + 1, n + 1, k + 1,
-                      float(expanded.external_rates[i]),
-                      float(expanded.achievement[i]),
-                      float(expanded.cond_means[i]),
-                      float(solution.alpha[i]),
-                      float(solution.rho[i])]
-                     for i, (n, k) in enumerate(expanded.node_ids)]
-        doc.table("expanded_nodes", header, node_rows)
-        rows, cols = np.nonzero(expanded.routing > 0.0)
-        doc.table("expanded_routing", ["from", "to", "probability"],
-                  [[i + 1, j + 1, q] for i, j, q in zip(
-                      rows.tolist(), cols.tolist(),
-                      expanded.routing[rows, cols].tolist())])
-        diff = np.abs(solution.supernode_rho - pf.rho)
-        doc.table("supernode_rho", ["node", "direct", "aggregated", "abs_diff"],
-                  [[n + 1, float(pf.rho[n]), float(solution.supernode_rho[n]),
-                    float(diff[n])] for n in range(spec.n_nodes)])
-        worst = float(diff.max()) if diff.size else 0.0
-        # relative, so that scaling the arrival rates scales the tolerance
-        ok = worst <= 1e-9 * float(pf.rho.max(initial=0.0))
-        doc.note(f"expansion check: max |direct - aggregated| = {worst:.3e} "
-                 f"({'OK' if ok else 'MISMATCH'})")
-        doc.payload.update({
-            "expanded_nodes": [dict(zip(header, row)) for row in node_rows],
-            "routing": expanded.routing,
-            "supernode_rho": solution.supernode_rho,
-            "direct_rho": pf.rho,
-            "check": {"max_abs_diff": worst, "ok": ok},
-        })
-        _emit(_render(doc, fmt or scenario.outputs.format), out_path)
-        if not ok:
-            _fail("expansion check failed", EXIT_NUMERICAL)
-    _guarded(body)
+    spec = scenario.network
+    stats = compute_min_stats(spec)
+    expanded = expand_network(spec, stats)
+    solution = solve_expanded(expanded)
+    pf = product_form(spec, stats)
+    header = ["index", "node", "component", "external_rate",
+              "achievement", "mean_service", "flow", "rho"]
+    node_rows = [[i + 1, n + 1, k + 1,
+                  float(expanded.external_rates[i]),
+                  float(expanded.achievement[i]),
+                  float(expanded.cond_means[i]),
+                  float(solution.alpha[i]),
+                  float(solution.rho[i])]
+                 for i, (n, k) in enumerate(expanded.node_ids)]
+    doc.table("expanded_nodes", header, node_rows)
+    rows, cols = np.nonzero(expanded.routing > 0.0)
+    doc.table("expanded_routing", ["from", "to", "probability"],
+              [[i + 1, j + 1, q] for i, j, q in zip(
+                  rows.tolist(), cols.tolist(),
+                  expanded.routing[rows, cols].tolist())])
+    diff = np.abs(solution.supernode_rho - pf.rho)
+    doc.table("supernode_rho", ["node", "direct", "aggregated", "abs_diff"],
+              [[n + 1, float(pf.rho[n]), float(solution.supernode_rho[n]),
+                float(diff[n])] for n in range(spec.n_nodes)])
+    worst = float(diff.max()) if diff.size else 0.0
+    # relative, so that scaling the arrival rates scales the tolerance
+    ok = worst <= 1e-9 * float(pf.rho.max(initial=0.0))
+    doc.note(f"expansion check: max |direct - aggregated| = {worst:.3e} "
+             f"({'OK' if ok else 'MISMATCH'})")
+    doc.payload.update({
+        "expanded_nodes": [dict(zip(header, row)) for row in node_rows],
+        "routing": expanded.routing,
+        "supernode_rho": solution.supernode_rho,
+        "direct_rho": pf.rho,
+        "check": {"max_abs_diff": worst, "ok": ok},
+    })
+    return None if ok else "expansion check failed"
 
 
-@main.command("baselines")
-@_scenario_options
-def cmd_baselines(config_path, fmt, out_path):
+@_command("baselines")
+def cmd_baselines(doc: _Doc, scenario: ScenarioConfig):
     """Both naive single-rate approximations."""
-    def body():
-        scenario = _load(config_path)
-        spec = scenario.network
-        doc = _Doc("baselines")
-        payload = []
-        for solver in (baseline_full_insensitivity,
-                       baseline_service_time_insensitivity):
-            res = solver(spec)
-            doc.table(res.method, ["node", "rho", "service_rate", "flow"],
-                      [[n + 1, float(res.rho[n]), float(res.rates_used[n]),
-                        float(res.node_flows[n])]
-                       for n in range(spec.n_nodes)])
-            payload.append({
-                "method": res.method,
-                "rho": res.rho,
-                "service_rate": res.rates_used,
-                "flow": res.node_flows,
-            })
-        doc.payload["baselines"] = payload
-        _emit(_render(doc, fmt or scenario.outputs.format), out_path)
-    _guarded(body)
+    spec = scenario.network
+    payload = []
+    for solver in (baseline_full_insensitivity,
+                   baseline_service_time_insensitivity):
+        res = solver(spec)
+        doc.table(res.method, ["node", "rho", "service_rate", "flow"],
+                  [[n + 1, float(res.rho[n]), float(res.rates_used[n]),
+                    float(res.node_flows[n])]
+                   for n in range(spec.n_nodes)])
+        payload.append({
+            "method": res.method,
+            "rho": res.rho,
+            "service_rate": res.rates_used,
+            "flow": res.node_flows,
+        })
+    doc.payload["baselines"] = payload
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ __all__ = [
     "load_scenario",
     "render_scenario",
     "bundled_scenario_path",
+    "setting_items",
     "OUTPUT_FORMATS",
 ]
 
@@ -62,6 +63,8 @@ _BOOLEAN = {"1": True, "yes": True, "true": True, "on": True,
             "0": False, "no": False, "false": False, "off": False}
 
 _DIST_RE = re.compile(r"^([a-z]+)\s*(?:\((.*)\))?$")
+# node<i>.components or node<i>.route<k>, 1-based with no leading zero
+_NODE_KEY_RE = re.compile(r"node([1-9][0-9]*)\.(?:components|route([1-9][0-9]*))")
 
 # scenario token name -> law class
 _LAWS = {law.name: law for law in get_args(ServiceDistribution)}
@@ -115,6 +118,37 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
         return _BOOLEAN[raw.strip().lower()]
     except KeyError:
         raise _fail(section, key, f"expected true/false, got {raw!r}") from None
+
+
+def _parse_word(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# every [sim] and [outputs] setting, in render order:
+# section -> (class, ((scenario key, field, parser), ...))
+_SETTINGS = {
+    "sim": (SimConfig, (("seed", "seed", _parse_int),
+                        ("generator", "generator_name", _parse_word),
+                        ("horizon", "horizon", _parse_float),
+                        ("warmup", "warmup", _parse_float),
+                        ("record_joint", "record_joint", _parse_bool))),
+    "outputs": (OutputOptions, (("format", "format", _parse_word),
+                                ("joint", "joint", _parse_bool),
+                                ("marginals_upto", "marginals_upto",
+                                 _parse_int))),
+}
+
+
+def setting_items(section: str, obj) -> list[tuple[str, object]]:
+    """(scenario key, value) of each setting of ``obj``, the SimConfig or
+    OutputOptions of ``section``, in render order."""
+    return [(key, getattr(obj, name)) for key, name, _ in _SETTINGS[section][1]]
+
+
+def _render_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse_distribution(section: str, key: str, token: str) -> ServiceDistribution:
@@ -178,6 +212,19 @@ def _parse_route(section: str, key: str, raw: str, n_nodes: int) -> tuple[float,
     return tuple(row)
 
 
+def _at_most(digits: str, bound: int) -> bool:
+    # lengths first: int() refuses a string of more than 4300 digits
+    return len(digits) <= len(str(bound)) and int(digits) <= bound
+
+
+def _is_network_key(key: str, n_nodes: int, n_comp: int) -> bool:
+    if key in ("nodes", "components", "arrivals"):
+        return True
+    match = _NODE_KEY_RE.fullmatch(key)
+    return match is not None and _at_most(match[1], n_nodes) and (
+        match[2] is None or _at_most(match[2], n_comp))
+
+
 def _parse_network(cp: configparser.ConfigParser) -> NetworkSpec:
     section = "network"
     if not cp.has_section(section):
@@ -190,12 +237,8 @@ def _parse_network(cp: configparser.ConfigParser) -> NetworkSpec:
     n_comp = _parse_int(section, "components", items["components"])
     if n_nodes < 1 or n_comp < 1:
         raise ConfigError("[network] nodes and components must be >= 1")
-    known = {"nodes", "components", "arrivals"}
-    for i in range(1, n_nodes + 1):
-        known.add(f"node{i}.components")
-        for k in range(1, n_comp + 1):
-            known.add(f"node{i}.route{k}")
-    unknown = sorted(set(items) - known)
+    unknown = sorted(key for key in items
+                     if not _is_network_key(key, n_nodes, n_comp))
     if unknown:
         raise ConfigError(f"[network] unknown keys: {', '.join(unknown)}")
 
@@ -233,54 +276,20 @@ def _parse_network(cp: configparser.ConfigParser) -> NetworkSpec:
     return NetworkSpec(nodes=tuple(nodes), arrival_rates=arrivals)
 
 
-def _parse_sim(cp: configparser.ConfigParser) -> SimConfig:
-    section = "sim"
+def _parse_settings(cp: configparser.ConfigParser, section: str):
+    cls, table = _SETTINGS[section]
     if not cp.has_section(section):
-        return SimConfig()
+        return cls()
     items = dict(cp.items(section))
-    known = {"seed", "generator", "horizon", "warmup", "record_joint"}
-    unknown = sorted(set(items) - known)
+    unknown = sorted(set(items) - {key for key, _, _ in table})
     if unknown:
-        raise ConfigError(f"[sim] unknown keys: {', '.join(unknown)}")
-    kwargs = {}
-    if "seed" in items:
-        kwargs["seed"] = _parse_int(section, "seed", items["seed"])
-    if "generator" in items:
-        kwargs["generator_name"] = items["generator"].strip()
-    if "horizon" in items:
-        kwargs["horizon"] = _parse_float(section, "horizon", items["horizon"])
-    if "warmup" in items:
-        kwargs["warmup"] = _parse_float(section, "warmup", items["warmup"])
-    if "record_joint" in items:
-        kwargs["record_joint"] = _parse_bool(section, "record_joint",
-                                             items["record_joint"])
+        raise ConfigError(f"[{section}] unknown keys: {', '.join(unknown)}")
+    kwargs = {name: parse(section, key, items[key])
+              for key, name, parse in table if key in items}
     try:
-        return SimConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[sim] {exc}") from None
-
-
-def _parse_outputs(cp: configparser.ConfigParser) -> OutputOptions:
-    section = "outputs"
-    if not cp.has_section(section):
-        return OutputOptions()
-    items = dict(cp.items(section))
-    known = {"format", "joint", "marginals_upto"}
-    unknown = sorted(set(items) - known)
-    if unknown:
-        raise ConfigError(f"[outputs] unknown keys: {', '.join(unknown)}")
-    kwargs = {}
-    if "format" in items:
-        kwargs["format"] = items["format"].strip()
-    if "joint" in items:
-        kwargs["joint"] = _parse_bool(section, "joint", items["joint"])
-    if "marginals_upto" in items:
-        kwargs["marginals_upto"] = _parse_int(section, "marginals_upto",
-                                              items["marginals_upto"])
-    try:
-        return OutputOptions(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[outputs] {exc}") from None
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -298,8 +307,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     report = validate(spec)
     if report:
         raise InvalidNetworkError(report)
-    return ScenarioConfig(network=spec, sim=_parse_sim(cp),
-                          outputs=_parse_outputs(cp))
+    return ScenarioConfig(network=spec, sim=_parse_settings(cp, "sim"),
+                          outputs=_parse_settings(cp, "outputs"))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -323,21 +332,11 @@ def render_scenario(cfg: ScenarioConfig) -> str:
                 lines.append(f"node{i}.route{k} = {entries}")
             else:
                 lines.append(f"node{i}.route{k} =")
-    sim = cfg.sim
-    lines += ["",
-              "[sim]",
-              f"seed = {sim.seed}",
-              f"generator = {sim.generator_name}",
-              f"horizon = {sim.horizon!r}",
-              f"warmup = {sim.warmup!r}",
-              f"record_joint = {'true' if sim.record_joint else 'false'}"]
-    out = cfg.outputs
-    lines += ["",
-              "[outputs]",
-              f"format = {out.format}",
-              f"joint = {'true' if out.joint else 'false'}"]
-    if out.marginals_upto is not None:
-        lines.append(f"marginals_upto = {out.marginals_upto}")
+    for section, obj in (("sim", cfg.sim), ("outputs", cfg.outputs)):
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_render_value(value)}"
+                  for key, value in setting_items(section, obj)
+                  if value is not None]
     return "\n".join(lines) + "\n"
 
 

@@ -81,6 +81,8 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "warmup", float(self.warmup))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.generator_name not in GENERATORS:
             raise ValueError(
                 f"unknown generator {self.generator_name!r}; "
@@ -90,6 +92,8 @@ class SimConfig:
         if not self.horizon > self.warmup:
             raise ValueError(
                 f"horizon ({self.horizon}) must exceed warmup ({self.warmup})")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass

@@ -342,6 +342,36 @@ def test_simulate_needs_a_component_with_a_finite_mean(runner, tmp_path,
                 in result.stderr)
 
 
+@pytest.mark.parametrize("override, message", [
+    (["--seed", "-1"], "config error: seed must be >= 0, got -1"),
+    (["--horizon", "inf"], "config error: horizon must be finite, got inf"),
+], ids=["seed", "horizon"])
+@pytest.mark.parametrize("command", [["simulate"], ["simulate", "--runs", "2"],
+                                     ["compare"]],
+                         ids=["simulate", "replicate", "compare"])
+def test_negative_seed_and_infinite_horizon_exit_3(runner, tmp_path, command,
+                                                   override, message):
+    # without arrivals a run to an infinite horizon would end at once
+    cfg = write_config(tmp_path, INFINITE_COMPONENT.replace("arrivals = 1.0",
+                                                            "arrivals = 0.0"))
+    result = invoke(runner, *command, "--config", cfg, *override,
+                    code=EXIT_VALIDATION)
+    assert result.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("command, names", [
+    ("solve", ["config_path", "fmt", "out_path"]),
+    ("expand", ["config_path", "fmt", "out_path"]),
+    ("baselines", ["config_path", "fmt", "out_path"]),
+    ("compare", ["config_path", "fmt", "out_path", "seed", "horizon",
+                 "warmup", "no_joint"]),
+    ("simulate", ["config_path", "fmt", "out_path", "seed", "horizon",
+                  "warmup", "no_joint", "runs"]),
+])
+def test_command_options_in_order(command, names):
+    assert [p.name for p in main.commands[command].params] == names
+
+
 def test_usage_errors_use_reserved_exit_code(runner):
     result = runner.invoke(main, ["solve", "--format", "yaml"])
     assert result.exit_code == 2

@@ -1,7 +1,10 @@
+import dataclasses
 import textwrap
+import tracemalloc
 
 import pytest
 
+from deadlinenet import config
 from deadlinenet import (
     ConfigError,
     Deterministic,
@@ -135,6 +138,10 @@ def test_section_level_errors(mutation, fragment):
     (_single_node("exp(rate=1.0)") + "\n[sim]\nwarmup = -3.0\n", "warmup"),
     (_single_node("exp(rate=1.0)") + "\n[sim]\ngenerator = doom\n",
      "unknown generator"),
+    (_single_node("exp(rate=1.0)") + "\n[sim]\nseed = -1\n",
+     r"\[sim\] seed must be >= 0, got -1"),
+    (_single_node("exp(rate=1.0)") + "\n[sim]\nhorizon = inf\n",
+     r"\[sim\] horizon must be finite, got inf"),
     (_single_node("exp(rate=1.0)") + "\n[outputs]\nformat = yaml\n", "format"),
     (_single_node("exp(rate=1.0)") + "\n[outputs]\nplot = true\n",
      "unknown keys"),
@@ -196,3 +203,37 @@ def test_output_options_validation():
         OutputOptions(format="xml")
     with pytest.raises(ValueError):
         OutputOptions(marginals_upto=-1)
+
+
+def test_unknown_network_keys_are_listed_sorted():
+    # node and component numbers are decimal, 1-based, without a leading
+    # zero, and within the declared counts
+    bad = ["node01.components", "node0.route1", "node2.components",
+           "node1.route2", "node1.route0", "node1.route01", "node1.route",
+           "node1.Components", "node" + "9" * 5000 + ".route1",
+           "node1.route" + "9" * 5000]
+    text = _single_node("exp(rate=1.0)") + "".join(f"{k} =\n" for k in bad)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"[network] unknown keys: {', '.join(sorted(bad))}"
+
+
+def test_unknown_key_check_does_not_grow_with_the_declared_node_count():
+    text = "[network]\nnodes = 50000\ncomponents = 1\narrivals = 1.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="expected 50000 rates, got 1"):
+            parse_scenario(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("section, cls", [("sim", SimConfig),
+                                          ("outputs", OutputOptions)])
+def test_settings_table_names_every_field_once(section, cls):
+    _, table = config._SETTINGS[section]
+    assert sorted(name for _, name, _ in table) == sorted(
+        f.name for f in dataclasses.fields(cls))
+    assert len({key for key, _, _ in table}) == len(table)

@@ -271,6 +271,15 @@ def test_replicate_is_deterministic():
                           b.results[1].joint_weights)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"horizon": math.inf}, "horizon must be finite, got inf"),
+])
+def test_config_rejects_negative_seed_and_infinite_horizon(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)
+
+
 def test_replicate_rejects_bad_run_count():
     with pytest.raises(ValueError):
         replicate(two_node_deadline_example(), CFG, 0)
