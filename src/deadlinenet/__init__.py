@@ -12,124 +12,30 @@ minimum statistics plus dense linear traffic equations), cross-checks it
 through an equivalent expanded Markovian network, contrasts it with two
 naive mean-value approximations, and verifies everything against an
 event-driven simulation of the original non-Markovian dynamics.
+
+Each module's ``__all__`` is the one list of its public names; the package
+root re-exports them all. The lists are read from the submodules before
+the star imports, because the star import of ``simulate`` rebinds
+``deadlinenet.simulate`` to the function of that name.
 """
 
-from .analytic import (
-    BaselineResult,
-    ExpandedNetwork,
-    ExpandedSolution,
-    ProductForm,
-    TrafficSolution,
-    baseline_full_insensitivity,
-    baseline_service_time_insensitivity,
-    expand_network,
-    product_form,
-    solve_expanded,
-    solve_traffic,
-)
-from .config import (
-    OutputOptions,
-    ScenarioConfig,
-    bundled_scenario_path,
-    load_scenario,
-    parse_scenario,
-    render_scenario,
-)
-from .distributions import (
-    MinStats,
-    compute_min_stats,
-    conditional_mean_given_min,
-    expected_min,
-    min_probability,
-)
-from .errors import (
-    ConfigError,
-    DeadlinenetError,
-    InfiniteMeanError,
-    InvalidNetworkError,
-    OpennessError,
-    QuadratureError,
-)
-from .model import (
-    Deterministic,
-    Exponential,
-    Infinite,
-    NetworkSpec,
-    NodeSpec,
-    Uniform,
-    Violation,
-    Weibull,
-    structural_violations,
-    two_node_deadline_example,
-    validate,
-)
-from .simulate import (
-    EventCounts,
-    ReplicateSummary,
-    SimConfig,
-    SimResult,
-    replicate,
-    simulate,
-)
-from .stats import (
-    ComparisonReport,
-    compare,
-    empirical_marginal,
-    product_form_deviation,
-    total_variation,
-)
+from . import analytic, config, distributions, errors, model, simulate, stats
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineResult",
-    "ComparisonReport",
-    "ConfigError",
-    "DeadlinenetError",
-    "Deterministic",
-    "EventCounts",
-    "ExpandedNetwork",
-    "ExpandedSolution",
-    "Exponential",
-    "Infinite",
-    "InfiniteMeanError",
-    "InvalidNetworkError",
-    "MinStats",
-    "NetworkSpec",
-    "NodeSpec",
-    "OpennessError",
-    "OutputOptions",
-    "ProductForm",
-    "QuadratureError",
-    "ReplicateSummary",
-    "ScenarioConfig",
-    "SimConfig",
-    "SimResult",
-    "TrafficSolution",
-    "Uniform",
-    "Violation",
-    "Weibull",
-    "baseline_full_insensitivity",
-    "baseline_service_time_insensitivity",
-    "bundled_scenario_path",
-    "compare",
-    "compute_min_stats",
-    "conditional_mean_given_min",
-    "empirical_marginal",
-    "expand_network",
-    "expected_min",
-    "load_scenario",
-    "min_probability",
-    "parse_scenario",
-    "product_form",
-    "product_form_deviation",
-    "render_scenario",
-    "replicate",
-    "simulate",
-    "solve_expanded",
-    "solve_traffic",
-    "structural_violations",
-    "total_variation",
-    "two_node_deadline_example",
-    "validate",
-]
+__all__ = []
+__all__ += analytic.__all__
+__all__ += config.__all__
+__all__ += distributions.__all__
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += simulate.__all__
+__all__ += stats.__all__
+
+from .analytic import *
+from .config import *
+from .distributions import *
+from .errors import *
+from .model import *
+from .simulate import *
+from .stats import *

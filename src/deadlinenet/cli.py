@@ -18,6 +18,7 @@ from typing import Optional
 import click
 import numpy as np
 
+from . import __version__
 from .analytic import (
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
@@ -209,7 +210,7 @@ def _fail(message: str, code: int):
 
 
 @click.group()
-@click.version_option(package_name="deadlinenet")
+@click.version_option(__version__, prog_name="deadlinenet")
 def main():
     """Equilibrium analysis and simulation of infinite-server networks
     with competing service times and outcome-dependent routing."""

@@ -29,8 +29,7 @@ with 1-based targets; probability not listed is exit probability, and an
 empty value means the customer always leaves. Distribution tokens are
 ``exp(rate=r)``, ``det(value=v)``, ``uniform(lo, hi)``,
 ``weibull(shape, scale)``, and ``inf``. Unknown sections or keys are
-rejected. ``render_scenario`` emits a canonical form that
-``parse_scenario`` maps back to an equal ScenarioConfig, byte for byte.
+rejected.
 """
 
 from __future__ import annotations
@@ -51,10 +50,7 @@ __all__ = [
     "ScenarioConfig",
     "parse_scenario",
     "load_scenario",
-    "render_scenario",
     "bundled_scenario_path",
-    "setting_items",
-    "OUTPUT_FORMATS",
 ]
 
 OUTPUT_FORMATS = ("table", "csv", "json")
@@ -143,12 +139,6 @@ def setting_items(section: str, obj) -> list[tuple[str, object]]:
     """(scenario key, value) of each setting of ``obj``, the SimConfig or
     OutputOptions of ``section``, in render order."""
     return [(key, getattr(obj, name)) for key, name, _ in _SETTINGS[section][1]]
-
-
-def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse_distribution(section: str, key: str, token: str) -> ServiceDistribution:
@@ -313,31 +303,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(Path(path).read_text())
-
-
-def render_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical text form; parse_scenario(render_scenario(cfg)) == cfg."""
-    spec = cfg.network
-    lines = ["[network]",
-             f"nodes = {spec.n_nodes}",
-             f"components = {spec.n_components}",
-             "arrivals = " + ", ".join(repr(r) for r in spec.arrival_rates)]
-    for i, node in enumerate(spec.nodes, start=1):
-        comps = ", ".join(d.token() for d in node.components)
-        lines.append(f"node{i}.components = {comps}")
-        for k, row in enumerate(node.routing, start=1):
-            entries = ", ".join(f"{m}: {q!r}"
-                                for m, q in enumerate(row, start=1) if q > 0.0)
-            if entries:
-                lines.append(f"node{i}.route{k} = {entries}")
-            else:
-                lines.append(f"node{i}.route{k} =")
-    for section, obj in (("sim", cfg.sim), ("outputs", cfg.outputs)):
-        lines += ["", f"[{section}]"]
-        lines += [f"{key} = {_render_value(value)}"
-                  for key, value in setting_items(section, obj)
-                  if value is not None]
-    return "\n".join(lines) + "\n"
 
 
 def bundled_scenario_path() -> Path:

@@ -40,9 +40,6 @@ from .model import (
 
 __all__ = [
     "MinStats",
-    "min_probability",
-    "conditional_mean_given_min",
-    "expected_min",
     "compute_min_stats",
 ]
 
@@ -253,30 +250,6 @@ def _quadrature(races, finite, labels, p, cond, mean_min) -> None:
                 if p[r, k] > 0:
                     cond[r, k] = upper[q] * totals[q, 1 + n_comp + k] / p[r, k]
         mean_min[r] = upper[q] * totals[q, 0]
-
-
-def min_probability(components, k: int, context: str = "race") -> float:
-    """P(component k achieves the minimum of the given components)."""
-    p, _, _ = _race_stats([tuple(components)], [context])
-    return float(p[0, k])
-
-
-def conditional_mean_given_min(components, k: int, context: str = "race") -> float:
-    """E[S_k | S_k achieved the minimum]; requires min_probability > 0."""
-    p, cond, _ = _race_stats([tuple(components)], [context])
-    if not p[0, k] > 0:
-        raise ValueError(
-            f"conditional mean undefined for {context} component {k + 1}: "
-            "it never achieves the minimum")
-    return float(cond[0, k])
-
-
-def expected_min(components, context: str = "race") -> float:
-    """E[min of the components] = integral of the survival product."""
-    if all(isinstance(c, Infinite) for c in components):
-        raise ValueError("expected_min requires at least one finite component")
-    _, _, mean_min = _race_stats([tuple(components)], [context])
-    return float(mean_min[0])
 
 
 @dataclass

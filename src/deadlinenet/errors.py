@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DeadlinenetError",
+    "InvalidNetworkError",
+    "OpennessError",
+    "QuadratureError",
+    "InfiniteMeanError",
+    "ConfigError",
+]
+
 
 class DeadlinenetError(Exception):
     """Base class for all package-specific failures."""

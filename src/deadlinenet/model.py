@@ -24,13 +24,10 @@ __all__ = [
     "Uniform",
     "Weibull",
     "Infinite",
-    "ServiceDistribution",
     "NodeSpec",
     "NetworkSpec",
     "Violation",
     "structural_violations",
-    "can_win",
-    "trapped_nodes",
     "validate",
     "two_node_deadline_example",
 ]
@@ -390,7 +387,7 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
     return report
 
 
-def can_win(node: NodeSpec) -> tuple[bool, ...]:
+def _can_win(node: NodeSpec) -> tuple[bool, ...]:
     """Whether each component achieves the node's minimum with positive
     probability: its support starts below the upper end of every other
     component's support."""
@@ -428,7 +425,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     """Full validation: structural invariants plus openness.
 
     The network is open when, from every (node, component) pair that can
-    achieve the minimum (see :func:`can_win`), some chain of such pairs
+    achieve the minimum (see :func:`_can_win`), some chain of such pairs
     reaches a routing row that sums to less than 1 - 1e-12; this is a
     reachability check on the routing graph, with no quadrature or linear
     solve. The nodes it finds trapped are reported as one violation of a
@@ -439,7 +436,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     if report:
         return report
     trapped = trapped_nodes(spec.route_tensor,
-                            np.array([can_win(node) for node in spec.nodes]))
+                            np.array([_can_win(node) for node in spec.nodes]))
     if trapped:
         where = ("node " if len(trapped) == 1 else "nodes ") + ", ".join(
             str(n + 1) for n in trapped)

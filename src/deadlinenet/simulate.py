@@ -50,7 +50,6 @@ __all__ = [
     "ReplicateSummary",
     "simulate",
     "replicate",
-    "GENERATORS",
 ]
 
 GENERATORS = {

@@ -73,9 +73,9 @@ def product_form_deviation(result: SimResult) -> float:
       neighbour a rank better at a single node lies in J. Such a cell is
       the all-top-rank cell, or d + e_n: a state d of J one rank worse at
       a single node n. Only these at most N |J| + 1 candidates are
-      evaluated, one node at a time, and only those whose product
-      exceeds the first term are tested for membership in J, largest
-      product first.
+      evaluated, one node at a time; the largest product among those
+      outside J is found by binary search for each in the sorted rows of
+      J, after dropping those that cannot exceed the first term.
     """
     states, weights = result.joint_states, result.joint_weights
     if states is None:
@@ -130,15 +130,15 @@ def product_form_deviation(result: SimResult) -> float:
         factor = marginal[n, cells[n]]
         prefix = factor * prefix if n else factor
     products = np.concatenate(products)
-    by_size = np.argsort(-products, kind="stable")
-    cells = np.concatenate(candidates, axis=1)[:, by_size].T.tolist()
-    visited = set(zip(*states.T.tolist()))
-    for product, cell in zip(products[by_size].tolist(), cells):
-        if product <= worst:
-            break
-        if tuple(cell) not in visited:
-            return product
-    return worst
+    cells = np.concatenate(candidates, axis=1).T
+    # a row of non-negative integers, each written as big-endian bytes,
+    # compares bytewise as the rows compare, node 1 first: the order of
+    # the visited states, so membership is one binary search
+    row = f"V{8 * n_nodes}"
+    visited = np.ascontiguousarray(states, ">u8").view(row)[:, 0]
+    queries = np.ascontiguousarray(cells, ">u8").view(row)[:, 0]
+    at = visited.searchsorted(queries).clip(max=len(visited) - 1)
+    return float(products[visited[at] != queries].max(initial=worst))
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""Shared test utilities: an independent Monte Carlo oracle for minimum
-statistics, a single-draw inverse-transform sampler, the densities of the
-atomless laws, a reference Poisson pmf, the per-(node, component) traffic
+"""Shared test utilities: the single-race statistics and the canonical
+scenario text, an independent Monte Carlo oracle for minimum statistics,
+a single-draw inverse-transform sampler, the densities of the atomless
+laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
 the product-form deviation and the total variation over the union of two
@@ -22,6 +23,63 @@ from deadlinenet import (
     Weibull,
     validate,
 )
+from deadlinenet.config import setting_items
+from deadlinenet.distributions import _race_stats
+
+
+def min_probability(components, k, context="race"):
+    """P(component k achieves the minimum of the given components)."""
+    p, _, _ = _race_stats([tuple(components)], [context])
+    return float(p[0, k])
+
+
+def conditional_mean_given_min(components, k, context="race"):
+    """E[S_k | S_k achieved the minimum]; requires min_probability > 0."""
+    p, cond, _ = _race_stats([tuple(components)], [context])
+    if not p[0, k] > 0:
+        raise ValueError(
+            f"conditional mean undefined for {context} component {k + 1}: "
+            "it never achieves the minimum")
+    return float(cond[0, k])
+
+
+def expected_min(components, context="race"):
+    """E[min of the components] = integral of the survival product."""
+    if all(isinstance(c, Infinite) for c in components):
+        raise ValueError("expected_min requires at least one finite component")
+    _, _, mean_min = _race_stats([tuple(components)], [context])
+    return float(mean_min[0])
+
+
+def _render_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render_scenario(cfg):
+    """Canonical text form; parse_scenario(render_scenario(cfg)) == cfg."""
+    spec = cfg.network
+    lines = ["[network]",
+             f"nodes = {spec.n_nodes}",
+             f"components = {spec.n_components}",
+             "arrivals = " + ", ".join(repr(r) for r in spec.arrival_rates)]
+    for i, node in enumerate(spec.nodes, start=1):
+        comps = ", ".join(d.token() for d in node.components)
+        lines.append(f"node{i}.components = {comps}")
+        for k, row in enumerate(node.routing, start=1):
+            entries = ", ".join(f"{m}: {q!r}"
+                                for m, q in enumerate(row, start=1) if q > 0.0)
+            if entries:
+                lines.append(f"node{i}.route{k} = {entries}")
+            else:
+                lines.append(f"node{i}.route{k} =")
+    for section, obj in (("sim", cfg.sim), ("outputs", cfg.outputs)):
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_render_value(value)}"
+                  for key, value in setting_items(section, obj)
+                  if value is not None]
+    return "\n".join(lines) + "\n"
 
 
 def sample(d, rng):

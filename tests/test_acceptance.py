@@ -23,10 +23,7 @@ from deadlinenet import (
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     compute_min_stats,
-    conditional_mean_given_min,
     expand_network,
-    expected_min,
-    min_probability,
     product_form,
     replicate,
     simulate,
@@ -41,7 +38,10 @@ from deadlinenet.stats import (
 )
 
 from helpers import (
+    conditional_mean_given_min,
+    expected_min,
     mc_min_stats,
+    min_probability,
     random_exponential_network,
     random_general_network,
 )

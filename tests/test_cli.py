@@ -267,6 +267,27 @@ def test_closed_network_exits_4(runner, tmp_path):
     assert "not open" in result.stderr
 
 
+def test_openness_error_after_validation_exits_4(runner, tmp_path):
+    # the exponential can win by its support, so validate accepts the loop,
+    # but its 1e-15 win probability is floored to 0 and the traffic solve
+    # finds node 1 trapped
+    cfg = write_config(tmp_path, """\
+        [network]
+        nodes = 1
+        components = 2
+        arrivals = 1.0
+        node1.components = exp(rate=1e-15), det(value=1.0)
+        node1.route1 =
+        node1.route2 = 1: 1.0
+        """)
+    result = runner.invoke(main, ["solve", "--config", cfg])
+    assert result.exit_code == EXIT_OPENNESS
+    assert result.stdout == ""
+    assert result.stderr == (
+        "openness error: traffic equations: customers at node(s) 1 can never "
+        "leave — network not open\n")
+
+
 def test_solve_refuses_an_unbounded_default_marginal_table(runner, tmp_path):
     # rho is about 1.6e7, so the default truncation would write some 1.6e7
     # marginal rows; an explicit marginals_upto bounds the table
@@ -292,6 +313,20 @@ def test_baselines_infinite_component_exits_3(runner, tmp_path):
     # the exact solver has no such restriction
     solve = runner.invoke(main, ["solve", "--config", cfg])
     assert solve.exit_code == 0
+
+
+def test_never_winning_mean_renders_as_inf_and_null(runner, tmp_path):
+    cfg = write_config(tmp_path, INFINITE_COMPONENT)
+    table = invoke(runner, "expand", "--config", cfg).output
+    assert table.splitlines()[3].split() == [
+        "2", "1", "2", "0.000000", "0.000000", "inf", "0.000000", "0.000000"]
+    csv = invoke(runner, "expand", "--config", cfg, "--format", "csv").output
+    _, tables = parse_csv_tables(csv)
+    header, rows = tables["expanded_nodes"]
+    assert [row[header.index("mean_service")] for row in rows] == ["1.0", "inf"]
+    payload = json.loads(
+        invoke(runner, "expand", "--config", cfg, "--format", "json").output)
+    assert [row["mean_service"] for row in payload["expanded_nodes"]] == [1.0, None]
 
 
 @pytest.mark.parametrize("partner", ["exp(rate=1.0)", "inf"])
@@ -382,14 +417,29 @@ def test_parse_csv_tables_rejects_foreign_text():
         parse_csv_tables("state,probability\n0,1.0\n")
 
 
-def test_cli_import_loads_no_scipy():
-    # the command-line start-up cost is dominated by imports; scipy alone
-    # once took most of it, so the CLI must not load it even indirectly
+def run_from_source(code, *args):
+    """``python -c code *args`` with the source tree first on PYTHONPATH,
+    as a source checkout runs the program."""
     src = str(Path(deadlinenet.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, deadlinenet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_version_from_a_source_checkout():
+    proc = run_from_source(
+        "import sys; from deadlinenet.cli import main; sys.exit(main())",
+        "--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"deadlinenet, version {deadlinenet.__version__}\n", "")
+
+
+def test_cli_import_loads_no_scipy():
+    # the command-line start-up cost is dominated by imports; scipy alone
+    # once took most of it, so the CLI must not load it even indirectly
+    proc = run_from_source(
+        "import sys, deadlinenet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc.check_returncode()
     assert proc.stdout.strip() == "[]"

@@ -19,10 +19,11 @@ from deadlinenet import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
-    render_scenario,
     two_node_deadline_example,
 )
 from deadlinenet.model import NOT_OPEN
+
+from helpers import render_scenario
 
 CANONICAL = ScenarioConfig(network=two_node_deadline_example())
 

@@ -14,12 +14,17 @@ from deadlinenet import (
     Uniform,
     Weibull,
     compute_min_stats,
-    conditional_mean_given_min,
-    expected_min,
-    min_probability,
     two_node_deadline_example,
 )
-from helpers import density, mc_min_stats, random_component, sample
+from helpers import (
+    conditional_mean_given_min,
+    density,
+    expected_min,
+    mc_min_stats,
+    min_probability,
+    random_component,
+    sample,
+)
 
 E_INV = math.exp(-1.0)  # P(unit exponential exceeds a unit deadline)
 

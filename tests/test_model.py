@@ -13,7 +13,6 @@ from deadlinenet import (
     Violation,
     Weibull,
     compute_min_stats,
-    min_probability,
     structural_violations,
     two_node_deadline_example,
     validate,
@@ -26,11 +25,12 @@ from deadlinenet.model import (
     NOT_OPEN,
     ROW_NOT_SUBSTOCHASTIC,
     TIE_PROBABILITY_POSITIVE,
-    can_win,
+    _can_win,
 )
 
 from helpers import (
     decimal_closed_network,
+    min_probability,
     random_exponential_network,
     random_general_network,
 )
@@ -228,8 +228,8 @@ def test_closed_row_of_a_component_that_never_wins_is_open(components):
     # the second component's routing row is closed (back to the node with
     # probability 1), but its support starts where the first one's ends,
     # so no customer ever follows it
-    assert can_win(NodeSpec(components=components,
-                            routing=((0.0,), (0.0,)))) == (True, False)
+    assert _can_win(NodeSpec(components=components,
+                             routing=((0.0,), (0.0,)))) == (True, False)
     node = NodeSpec(components=components, routing=((0.0,), (1.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     assert validate(spec) == []
@@ -252,7 +252,7 @@ def test_can_win_matches_nonzero_achievement_probability():
     seen_floored = 0
     for comps in races:
         node = NodeSpec(components=comps, routing=((0.0,),) * len(comps))
-        mask = np.array(can_win(node))
+        mask = np.array(_can_win(node))
         p = compute_min_stats(NetworkSpec(nodes=(node,), arrival_rates=(1.0,))).p[0]
         below_floor = mask & (p == 0)
         np.testing.assert_array_equal(mask & ~below_floor, p > 0, err_msg=str(comps))
@@ -265,7 +265,7 @@ def test_can_win_matches_nonzero_achievement_probability():
 def test_can_win_never_for_infinite():
     node = NodeSpec(components=(Infinite(), Deterministic(3.0), Exponential(1.0)),
                     routing=((0.0,),) * 3)
-    assert can_win(node) == (False, True, True)
+    assert _can_win(node) == (False, True, True)
 
 
 def test_validate_runs_no_quadrature_or_solve(monkeypatch):

@@ -11,6 +11,7 @@ from deadlinenet import (
     NetworkSpec,
     NodeSpec,
     SimConfig,
+    Weibull,
     compute_min_stats,
     empirical_marginal,
     product_form,
@@ -154,6 +155,20 @@ def test_routing_frequencies_match_achievement_probabilities(example_run):
 def test_no_ties_with_continuous_components(example_run):
     # exponential vs a single atom: simultaneous minima have probability 0
     assert example_run.ties == 0
+
+
+def test_tied_minimum_goes_to_the_lowest_component():
+    # a Weibull of shape 1e20 samples exactly its scale, so both components
+    # reach the minimum together on every visit
+    node = NodeSpec(components=(Weibull(1e20, 1.0), Weibull(1e20, 1.0)),
+                    routing=((0.0,), (0.0,)))
+    spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
+    res = simulate(spec, SimConfig(seed=1, horizon=200.0, warmup=20.0))
+    counts = res.event_counts
+    assert counts.arrivals[0] > 0
+    assert res.ties == counts.arrivals[0]
+    assert counts.departures[0, 1] == 0
+    assert counts.departures[0, 0] == counts.arrivals[0] - res.final_occupancy[0]
 
 
 def test_joint_recording_optional():

@@ -226,6 +226,18 @@ def test_deviation_with_unvisited_occupancy_inside_range():
     assert value == pytest.approx(0.18)
 
 
+def test_deviation_with_occupancies_past_one_byte():
+    # visited states are searched as rows of big-endian bytes: in
+    # little-endian bytes (256, 5) would sort before (1, 0), and the
+    # visited all-top cell (256, 5) would be taken as unvisited
+    joint = {(1, 0): 20.0, (1, 5): 10.0, (256, 5): 70.0}
+    res = fake_result([{1: 30.0, 256: 70.0}, {0: 20.0, 5: 80.0}], joint, 100.0)
+    value = product_form_deviation(res)
+    assert type(value) is float
+    assert value == box_scan_deviation(res)
+    assert value == pytest.approx(0.14)
+
+
 def test_deviation_supremum_outside_visited_states():
     # the largest deviation is at the unvisited cell (2, 1): its product
     # 0.2 * 0.5 is one rank below the visited (0, 1) at node 1, and exceeds
