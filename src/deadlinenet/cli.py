@@ -12,8 +12,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import click
 import numpy as np
@@ -67,16 +66,17 @@ _MAX_MARGINAL_ROWS = 1_000_000
 
 # ---------------------------------------------------------------------------
 # document model: every command produces named tables, note lines, and a
-# JSON-able payload, then one of three renderers serializes the lot.
+# JSON-able payload, then one writer streams the chosen format. A table's
+# rows may be a generator: only the csv and table formats consume them, once.
 
 class _Doc:
     def __init__(self, kind: str):
         self.kind = kind
-        self.tables: list[tuple[str, list[str], list[list[object]]]] = []
+        self.tables: list[tuple[str, list[str], Iterable[list[object]]]] = []
         self.notes: list[str] = []
         self.payload: dict = {"kind": kind}
 
-    def table(self, name: str, header: list[str], rows: list[list[object]]):
+    def table(self, name: str, header: list[str], rows: Iterable[list[object]]):
         self.tables.append((name, header, rows))
 
     def note(self, text: str):
@@ -101,50 +101,102 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and np.isfinite(value).all():
-            return value.tolist()
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
+def _json_leaf(value) -> Optional[str]:
+    """JSON text of a scalar, None for anything else. numpy scalars are
+    written as Python numbers and an infinite float as null."""
+    if isinstance(value, (float, np.floating)):
         value = float(value)
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return value
+        if math.isinf(value):
+            return "null"
+        return float.__repr__(value) if value == value else "NaN"
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    return None
 
 
-def _render(doc: _Doc, fmt: str) -> str:
+def _write_json(value, write: Callable[[str], object], pad: str = "\n"):
+    """Write ``value`` exactly as ``json.dumps(value, indent=2)`` lays it
+    out; ``pad`` is the newline and indentation of its level. A list of
+    scalars, or a finite float array, goes out in one write."""
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            value = list(value)
+        elif value.dtype.kind == "f" and np.isfinite(value).all():
+            value = value.tolist()
+            if value:
+                write("[" + inner + sep.join(map(float.__repr__, value))
+                      + pad + "]")
+                return
+        else:
+            value = value.tolist()
+    leaf = _json_leaf(value)
+    if leaf is not None:
+        write(leaf)
+        return
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write((sep if i else inner)
+                  + json.encoder.encode_basestring_ascii(str(key)) + ": ")
+            _write_json(item, write, inner)
+        write(pad + "}")
+        return
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        write("[]")
+        return
+    leaves = [_json_leaf(v) for v in value]
+    if None not in leaves:
+        write("[" + inner + sep.join(leaves) + pad + "]")
+        return
+    write("[")
+    for i, item in enumerate(value):
+        write(sep if i else inner)
+        _write_json(item, write, inner)
+    write(pad + "]")
+
+
+def _write(doc: _Doc, fmt: str, write: Callable[[str], object]) -> None:
+    """Stream ``doc`` in format ``fmt`` through ``write``."""
     if fmt == "json":
-        return json.dumps(_jsonable(doc.payload), indent=2) + "\n"
+        _write_json(doc.payload, write)
+        write("\n")
+        return
     if fmt == "csv":
-        lines = [f"{_CSV_HEADER} {doc.kind}"]
+        write(f"{_CSV_HEADER} {doc.kind}\n")
         for name, header, rows in doc.tables:
-            lines.append(f"## {name}")
-            lines.append(",".join(header))
+            write(f"## {name}\n" + ",".join(header) + "\n")
             for row in rows:
-                lines.append(",".join(_csv_cell(v) for v in row))
+                write(",".join(map(_csv_cell, row)) + "\n")
         for note in doc.notes:
-            lines.append(f"# {note}")
-        return "\n".join(lines) + "\n"
-    blocks = []
+            write(f"# {note}\n")
+        return
+    gap = ""
     for name, header, rows in doc.tables:
-        cells = [header] + [[_text_cell(v) for v in row] for row in rows]
+        cells = [header] + [list(map(_text_cell, row)) for row in rows]
         widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        lines = [f"== {name} =="]
+        write(f"{gap}== {name} ==\n")
         for r in cells:
-            lines.append("  ".join(c.ljust(w)
-                                   for c, w in zip(r, widths)).rstrip())
-        blocks.append("\n".join(lines))
-    body = "\n\n".join(blocks)
-    if doc.notes:
-        body += ("\n\n" if body else "") + "\n".join(doc.notes)
-    return body + "\n"
+            write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+                  + "\n")
+        gap = "\n"
+    if doc.notes or not doc.tables:
+        write(gap + "\n".join(doc.notes) + "\n")
 
 
 def parse_csv_tables(text: str) -> tuple[str, dict[str, tuple[list[str], list[list[str]]]]]:
@@ -168,13 +220,6 @@ def parse_csv_tables(text: str) -> tuple[str, dict[str, tuple[list[str], list[li
         else:
             tables[name][1].append(line.split(","))
     return kind, tables
-
-
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +265,10 @@ def _command(name: str, *extra_options, sim: bool = False):
     """Register ``build(doc, scenario, **extra)`` as command ``name``.
 
     The runner loads the scenario (the bundled one by default), merges the
-    simulation overrides into ``scenario.sim`` when ``sim`` is set, renders
+    simulation overrides into ``scenario.sim`` when ``sim`` is set, streams
     the document ``build`` fills in the chosen format to stdout or
     ``--out``, and maps errors to exit codes. A message returned by
-    ``build`` is reported after the document is written, with exit 5.
+    ``build`` is reported after the whole document is written, with exit 5.
     """
     def register(build):
         def run(config_path, fmt, out_path, **extra):
@@ -242,7 +287,13 @@ def _command(name: str, *extra_options, sim: bool = False):
                         raise ConfigError(str(exc)) from None
                 doc = _Doc(name)
                 failure = build(doc, scenario, **extra)
-                _emit(_render(doc, fmt or scenario.outputs.format), out_path)
+                fmt = fmt or scenario.outputs.format
+                if out_path:
+                    with open(out_path, "w") as out:
+                        _write(doc, fmt, out.write)
+                else:
+                    _write(doc, fmt, sys.stdout.write)
+                    sys.stdout.flush()
                 if failure:
                     _fail(failure, EXIT_NUMERICAL)
             except ConfigError as exc:
@@ -290,13 +341,11 @@ def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
         raise ConfigError(
             f"the marginal table would have {n_rows} rows, more than "
             f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
-    marginal_rows = []
-    pmf_payload = []
-    for n, upto in enumerate(uptos):
-        pmf = pf.marginal_pmf(n, upto).tolist()
-        pmf_payload.append({"node": n + 1, "pmf": pmf})
-        marginal_rows.extend([[n + 1, x, p] for x, p in enumerate(pmf)])
-    doc.table("marginal", ["node", "state", "probability"], marginal_rows)
+    pmf_payload = [{"node": n + 1, "pmf": pf.marginal_pmf(n, upto).tolist()}
+                   for n, upto in enumerate(uptos)]
+    doc.table("marginal", ["node", "state", "probability"],
+              ([entry["node"], x, p] for entry in pmf_payload
+               for x, p in enumerate(entry["pmf"])))
     doc.payload.update({
         "rho": pf.rho,
         "traffic": traffic.alpha,
@@ -421,11 +470,9 @@ def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
                   float(solution.rho[i])]
                  for i, (n, k) in enumerate(expanded.node_ids)]
     doc.table("expanded_nodes", header, node_rows)
-    rows, cols = np.nonzero(expanded.routing > 0.0)
     doc.table("expanded_routing", ["from", "to", "probability"],
-              [[i + 1, j + 1, q] for i, j, q in zip(
-                  rows.tolist(), cols.tolist(),
-                  expanded.routing[rows, cols].tolist())])
+              ([i + 1, j + 1, q] for i, row in enumerate(expanded.routing)
+               for j, q in enumerate(row.tolist()) if q > 0.0))
     diff = np.abs(solution.supernode_rho - pf.rho)
     doc.table("supernode_rho", ["node", "direct", "aggregated", "abs_diff"],
               [[n + 1, float(pf.rho[n]), float(solution.supernode_rho[n]),

@@ -185,6 +185,22 @@ def _parse_route(section: str, key: str, raw: str, n_nodes: int) -> tuple[float,
     raw = raw.strip()
     if not raw:
         return tuple(row)
+    # fast path for a well-formed row: int and float accept the same
+    # spellings here as below, and strict zip fails unless every entry has
+    # exactly one colon; any failure re-reads the row entry by entry below,
+    # which raises the located error
+    try:
+        targets, probs = zip(*[entry.split(":") for entry in raw.split(",")],
+                             strict=True)
+        targets = list(map(int, targets))
+        probs = list(map(float, probs))
+    except ValueError:
+        targets = []
+    if (targets and min(targets) >= 1 and max(targets) <= n_nodes
+            and len(set(targets)) == len(targets)):
+        for target, prob in zip(targets, probs):
+            row[target - 1] = prob
+        return tuple(row)
     seen = set()
     for entry in raw.split(","):
         target_text, sep, prob_text = entry.partition(":")

@@ -6,9 +6,11 @@ equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
 the product-form deviation and the total variation over the union of two
 supports as references, samplers and the joint pmf of the exact solution,
-and random network generators for property checks."""
+random network generators for property checks, and the whole-string
+renderer of CLI documents as the reference for the streaming writer."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from deadlinenet import (
     Weibull,
     validate,
 )
+from deadlinenet.cli import _CSV_HEADER, _csv_cell, _text_cell
 from deadlinenet.config import setting_items
 from deadlinenet.distributions import _race_stats
 
@@ -350,3 +353,52 @@ def decimal_closed_network():
     nodes = tuple(NodeSpec(components=(Exponential(rate),), routing=(row,))
                   for rate in (1.0, 2.0, 3.0))
     return NetworkSpec(nodes=nodes, arrival_rates=(1.0, 0.0, 0.0))
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        value = float(value)
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    return value
+
+
+def reference_render(doc, fmt):
+    """A CLI document (tables with list rows, notes, payload) as one string:
+    json.dumps(indent=2) of the converted payload, the joined CSV lines or
+    the padded text tables. The reference for cli._write."""
+    if fmt == "json":
+        return json.dumps(_jsonable(doc.payload), indent=2) + "\n"
+    if fmt == "csv":
+        lines = [f"{_CSV_HEADER} {doc.kind}"]
+        for name, header, rows in doc.tables:
+            lines.append(f"## {name}")
+            lines.append(",".join(header))
+            for row in rows:
+                lines.append(",".join(_csv_cell(v) for v in row))
+        for note in doc.notes:
+            lines.append(f"# {note}")
+        return "\n".join(lines) + "\n"
+    blocks = []
+    for name, header, rows in doc.tables:
+        cells = [header] + [[_text_cell(v) for v in row] for row in rows]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+        lines = [f"== {name} =="]
+        for r in cells:
+            lines.append("  ".join(c.ljust(w)
+                                   for c, w in zip(r, widths)).rstrip())
+        blocks.append("\n".join(lines))
+    body = "\n\n".join(blocks)
+    if doc.notes:
+        body += ("\n\n" if body else "") + "\n".join(doc.notes)
+    return body + "\n"

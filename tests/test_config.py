@@ -184,6 +184,64 @@ def test_whitespace_insensitive_parsing():
     assert spec.nodes[0].routing == ((0.25,),)
 
 
+def _three_nodes(route):
+    return textwrap.dedent("""\
+        [network]
+        nodes = 3
+        components = 1
+        arrivals = 1.0, 0.0, 0.0
+        node1.components = exp(rate=1.0)
+        node1.route1 = {}
+        node2.components = exp(rate=1.0)
+        node3.components = exp(rate=1.0)
+        """).format(route)
+
+
+@pytest.mark.parametrize("route, message", [
+    ("0.5", "expected 'target: probability', got '0.5'"),
+    ("1: 0.2, 0.5", "expected 'target: probability', got '0.5'"),
+    ("1: 0.5,", "expected 'target: probability', got ''"),
+    (" , ", "expected 'target: probability', got ''"),
+    ("x: 0.5", "expected an integer, got 'x'"),
+    ("1.5: 0.2", "expected an integer, got '1.5'"),
+    (": 0.5", "expected an integer, got ''"),
+    ("1 0: 0.5", "expected an integer, got '1 0'"),
+    ("9" * 5000 + ": 0.1", f"expected an integer, got '{'9' * 5000}'"),
+    ("0: 0.5", "target 0 out of range 1..3"),
+    ("4: 0.5", "target 4 out of range 1..3"),
+    ("1: 0.2, 1: 0.3", "duplicate target 1"),
+    ("1: abc", "expected a number, got 'abc'"),
+    ("1:", "expected a number, got ''"),
+    # each entry has exactly one colon, even when the colons and commas
+    # balance across the row
+    ("1: 0.2: 3, 0.4", "expected a number, got '0.2: 3'"),
+    ("1: 0.2: 3, 2: 0.4", "expected a number, got '0.2: 3'"),
+    # the first bad entry is reported, whatever the later ones hold
+    ("1: x, 0: 0.5", "expected a number, got 'x'"),
+    ("3: 0.1, 1: y, 4: 0.1", "expected a number, got 'y'"),
+    ("5: 0.1, 1: y", "target 5 out of range 1..3"),
+    ("2: 0.1, 2: oops", "duplicate target 2"),
+])
+def test_malformed_route_messages(route, message):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(_three_nodes(route))
+    assert str(err.value) == f"[network] node1.route1: {message}"
+
+
+@pytest.mark.parametrize("route, row", [
+    ("", (0.0, 0.0, 0.0)),
+    (" 1 :  0.25 ", (0.25, 0.0, 0.0)),
+    ("1: 1e-3", (1e-3, 0.0, 0.0)),
+    ("0_1: 1_0e-2, 3:.5", (0.1, 0.0, 0.5)),
+    ("+2: 0.1, 03: 0.2", (0.0, 0.1, 0.2)),
+    ("3: 0.25, 1: -0.0", (-0.0, 0.0, 0.25)),
+])
+def test_route_spellings_that_int_and_float_accept(route, row):
+    [parsed] = parse_scenario(_three_nodes(route)).network.nodes[0].routing
+    assert parsed == row
+    assert [str(q) for q in parsed] == [str(q) for q in row]
+
+
 def test_sim_and_output_overrides_parsed():
     text = render_scenario(ScenarioConfig(
         network=two_node_deadline_example(),
