@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import MinStats, compute_min_stats
 from .errors import InfiniteMeanError, OpennessError
-from .model import NetworkSpec, trapped_nodes
+from .model import NetworkSpec, once_per_spec, trapped_nodes
 
 __all__ = [
     "TrafficSolution",
@@ -102,7 +102,7 @@ def _solve_node_flows(spec: NetworkSpec, weights: np.ndarray,
                        weights > 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrafficSolution:
     """Equilibrium flows: flows[n] into each node (external plus internal)
     and alpha[n, k] = p_{n,k} flows[n] into each (node, component)."""
@@ -138,12 +138,13 @@ def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
     return np.exp(x * math.log(rho) - rho - log_fact)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductForm:
     """Equilibrium occupancy: independent Poisson(rho[n]) at each node.
 
     ``traffic`` is the solution of the traffic equations that rho was
-    computed from."""
+    computed from. From :func:`product_form`, all three arrays are
+    read-only."""
 
     rho: np.ndarray
     traffic: TrafficSolution
@@ -161,15 +162,22 @@ class ProductForm:
         return _poisson_pmf(np.arange(upto + 1), float(self.rho[n]))
 
 
-def product_form(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ProductForm:
-    """Exact equilibrium distribution of the network."""
-    if stats is None:
-        stats = compute_min_stats(spec)
+def product_form(spec: NetworkSpec) -> ProductForm:
+    """Exact equilibrium distribution of the network, solved once per spec
+    object (see :func:`model.once_per_spec`)."""
+    return once_per_spec(spec, _product_form)
+
+
+def _product_form(spec: NetworkSpec) -> ProductForm:
+    stats = compute_min_stats(spec)
     traffic = solve_traffic(spec, stats)
     mask = stats.p > 0
     contrib = np.zeros_like(stats.p)
     contrib[mask] = traffic.alpha[mask] * stats.cond_mean[mask]
-    return ProductForm(rho=contrib.sum(axis=1), traffic=traffic)
+    rho = contrib.sum(axis=1)
+    for array in (rho, traffic.alpha, traffic.flows):
+        array.flags.writeable = False
+    return ProductForm(rho=rho, traffic=traffic)
 
 
 @dataclass
@@ -192,11 +200,10 @@ class ExpandedNetwork:
     supernode: tuple[int, ...]  # original node of each expanded node
 
 
-def expand_network(spec: NetworkSpec, stats: Optional[MinStats] = None) -> ExpandedNetwork:
+def expand_network(spec: NetworkSpec) -> ExpandedNetwork:
     """Build the equivalent expanded network: external rate p_{n,k} lambda_n
     into (n, k), routing (n,k) -> (m,l) with probability P^k_{n,m} p_{m,l}."""
-    if stats is None:
-        stats = compute_min_stats(spec)
+    stats = compute_min_stats(spec)
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
     node_ids = tuple((n, k) for n in range(n_nodes) for k in range(n_comp))
@@ -284,16 +291,13 @@ def baseline_full_insensitivity(spec: NetworkSpec) -> BaselineResult:
                           rates_used=node_rates, node_flows=flows)
 
 
-def baseline_service_time_insensitivity(
-        spec: NetworkSpec,
-        traffic: Optional[TrafficSolution] = None) -> BaselineResult:
+def baseline_service_time_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Keep the true achievement probabilities in the routing mix but still
     use the summed reciprocal means as each node's service rate. That
-    routing mix is the exact one, so the node flows are the exact
-    solution's ``traffic.flows`` (solved here when not given)."""
+    routing mix is the exact one, so the node flows are the read-only
+    ``traffic.flows`` of :func:`product_form`."""
     node_rates = _component_rates(spec).sum(axis=1)
-    if traffic is None:
-        traffic = solve_traffic(spec, compute_min_stats(spec))
+    flows = product_form(spec).traffic.flows
     return BaselineResult(method="service_time_insensitivity",
-                          rho=traffic.flows / node_rates,
-                          rates_used=node_rates, node_flows=traffic.flows)
+                          rho=flows / node_rates,
+                          rates_used=node_rates, node_flows=flows)

@@ -32,7 +32,6 @@ from .config import (
     load_scenario,
     setting_items,
 )
-from .distributions import compute_min_stats
 from .errors import (
     ConfigError,
     InfiniteMeanError,
@@ -456,10 +455,9 @@ def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
 def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
     """Equivalent Markovian network, solved both ways as a cross-check."""
     spec = scenario.network
-    stats = compute_min_stats(spec)
-    expanded = expand_network(spec, stats)
+    expanded = expand_network(spec)
     solution = solve_expanded(expanded)
-    pf = product_form(spec, stats)
+    pf = product_form(spec)
     header = ["index", "node", "component", "external_rate",
               "achievement", "mean_service", "flow", "rho"]
     node_rows = [[i + 1, n + 1, k + 1,

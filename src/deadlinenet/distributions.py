@@ -35,6 +35,7 @@ from .model import (
     Exponential,
     Infinite,
     NetworkSpec,
+    once_per_spec,
     structural_violations,
 )
 
@@ -252,9 +253,10 @@ def _quadrature(races, finite, labels, p, cond, mean_min) -> None:
         mean_min[r] = upper[q] * totals[q, 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinStats:
-    """Competing-minimum statistics for every (node, component).
+    """Competing-minimum statistics for every (node, component), as
+    read-only arrays.
 
     p[n, k]        — probability that component k achieves node n's minimum
     cond_mean[n, k] — E[S_{n,k} | it achieved the minimum]; +inf where p = 0
@@ -267,13 +269,18 @@ class MinStats:
 
 
 def compute_min_stats(spec: NetworkSpec) -> MinStats:
-    """Assemble MinStats for a structurally valid spec.
+    """Assemble MinStats for a structurally valid spec, once per spec
+    object (see :func:`model.once_per_spec`).
 
     Nodes with equal component tuples share one computation. Verifies, per
     node, that the achievement probabilities sum to 1 within 1e-9 and that
     total expectation holds within 1e-8; a failed check is a numerical
     failure, reported with its (node, component) location.
     """
+    return once_per_spec(spec, _min_stats)
+
+
+def _min_stats(spec: NetworkSpec) -> MinStats:
     report = structural_violations(spec)
     if report:
         raise InvalidNetworkError(report)
@@ -300,4 +307,6 @@ def compute_min_stats(spec: NetworkSpec) -> MinStats:
                 f"total expectation mismatch at node {n + 1}: "
                 f"sum p*cond_mean = {recombined:.12f}, "
                 f"expected minimum = {mean_min[n]:.12f}")
+    for array in (p, cond_mean, mean_min):
+        array.flags.writeable = False
     return MinStats(p=p, cond_mean=cond_mean, mean_min=mean_min)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, TypeVar, Union
 
 import numpy as np
 
@@ -268,7 +268,7 @@ class NodeSpec:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(
             self, "routing",
-            tuple(tuple(float(p) for p in row) for row in self.routing))
+            tuple(tuple(map(float, row)) for row in self.routing))
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,33 @@ class NetworkSpec:
         routes.flags.writeable = False
         return routes
 
+    @cached_property
+    def _answers(self) -> dict:
+        """The results :func:`once_per_spec` keeps for this spec."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields only: what is cached stays
+        with the spec object that computed it, where it is read-only."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+T = TypeVar("T")
+
+
+def once_per_spec(spec: NetworkSpec, compute: Callable[[NetworkSpec], T]) -> T:
+    """``compute(spec)``, run at most once per spec object and kept on it
+    as :attr:`NetworkSpec.route_tensor` is, so a result lives exactly as
+    long as its spec. Nothing is hashed: a spec made by
+    ``dataclasses.replace`` starts with no results, however equal it is. A
+    compute that raises keeps nothing, and runs again on the next call.
+    Every caller gets the same object, so ``compute`` returns one that
+    cannot be changed: a tuple, a frozen dataclass, read-only arrays."""
+    answers = spec._answers
+    if compute not in answers:
+        answers[compute] = compute(spec)
+    return answers[compute]
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -324,17 +351,23 @@ _ROW_SUM_TOL = 1e-12
 
 
 def structural_violations(spec: NetworkSpec) -> list[Violation]:
-    """Check every invariant that needs no numerical solve."""
+    """Check every invariant that needs no numerical solve. The check runs
+    once per spec (see :func:`once_per_spec`); each call returns a new
+    list."""
+    return list(once_per_spec(spec, _structure_report))
+
+
+def _structure_report(spec: NetworkSpec) -> tuple[Violation, ...]:
     report: list[Violation] = []
     n = spec.n_nodes
     if n < 1:
         report.append(Violation(BAD_SHAPE, "network", "network has no nodes"))
-        return report
+        return tuple(report)
 
     k = spec.n_components
     if k < 1:
         report.append(Violation(BAD_SHAPE, "node 1", "node has no components"))
-        return report
+        return tuple(report)
 
     if len(spec.arrival_rates) != n:
         report.append(Violation(
@@ -384,7 +417,7 @@ def structural_violations(spec: NetworkSpec) -> list[Violation]:
             report.append(Violation(
                 TIE_PROBABILITY_POSITIVE, where,
                 "two deterministic components share the same value"))
-    return report
+    return tuple(report)
 
 
 def _can_win(node: NodeSpec) -> tuple[bool, ...]:

@@ -158,14 +158,16 @@ class ComparisonReport:
 
 
 def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
-    """Assemble the verification report for a run of ``spec``."""
+    """Assemble the verification report for a run of ``spec``. The exact
+    solution is kept on ``spec``, so comparing many runs of one spec object
+    solves it once."""
     pf = product_form(spec)
     try:
         full = baseline_full_insensitivity(spec).rho
     except InfiniteMeanError:
         full = None
     try:
-        service = baseline_service_time_insensitivity(spec, pf.traffic).rho
+        service = baseline_service_time_insensitivity(spec).rho
     except InfiniteMeanError:
         service = None
     table = tuple(

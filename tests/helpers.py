@@ -6,12 +6,14 @@ equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
 the product-form deviation and the total variation over the union of two
 supports as references, samplers and the joint pmf of the exact solution,
-random network generators for property checks, and the whole-string
-renderer of CLI documents as the reference for the streaming writer."""
+random network generators for property checks, the whole-string
+renderer of CLI documents as the reference for the streaming writer, and
+a call counter for the functions the program computes once."""
 
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -402,3 +404,19 @@ def reference_render(doc, fmt):
     if doc.notes:
         body += ("\n\n" if body else "") + "\n".join(doc.notes)
     return body + "\n"
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in every deadlinenet namespace that holds it and
+    return the list its calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "deadlinenet" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

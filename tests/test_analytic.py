@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from deadlinenet import (
 
 from helpers import (
     conditional_sampler,
+    count_calls,
     decimal_closed_network,
     joint_pmf,
     loop_expansion,
@@ -154,7 +158,7 @@ def test_vectorised_assembly_equals_loop_reference():
         assert (np.abs(alpha - reference).max()
                 <= 1e-12 * np.abs(reference).max())
         routing, external = loop_expansion(spec, stats)
-        expanded = expand_network(spec, stats)
+        expanded = expand_network(spec)
         assert np.array_equal(expanded.routing, routing)
         assert np.array_equal(expanded.external_rates, external)
 
@@ -162,9 +166,54 @@ def test_vectorised_assembly_equals_loop_reference():
 def test_product_form_keeps_its_traffic_solution():
     spec = two_node_deadline_example()
     stats = compute_min_stats(spec)
-    pf = product_form(spec, stats)
+    pf = product_form(spec)
     assert np.array_equal(pf.traffic.alpha, solve_traffic(spec, stats).alpha)
     assert pf.traffic.residual == solve_traffic(spec, stats).residual
+
+
+def test_exact_answers_are_kept_on_the_spec_read_only():
+    spec = two_node_deadline_example()
+    pf = product_form(spec)
+    stats = compute_min_stats(spec)
+    assert product_form(spec) is pf
+    assert compute_min_stats(spec) is stats
+    for array in (pf.rho, pf.traffic.alpha, pf.traffic.flows,
+                  stats.p, stats.cond_mean, stats.mean_min,
+                  baseline_service_time_insensitivity(spec).node_flows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    np.testing.assert_allclose(pf.rho, RHO, atol=1e-12)
+    # a copy or an unpickled spec solves afresh, into read-only arrays
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec
+        assert product_form(twin) is not pf
+        assert np.array_equal(product_form(twin).rho, pf.rho)
+        assert not product_form(twin).rho.flags.writeable
+        assert not twin.route_tensor.flags.writeable
+
+
+def test_each_spec_object_gets_its_own_answer():
+    spec = two_node_deadline_example()
+    rho = product_form(spec).rho
+    doubled = replace(spec, arrival_rates=[2 * lam for lam in spec.arrival_rates])
+    assert np.array_equal(product_form(doubled).rho, 2 * rho)
+    # an equal spec is a new object with its own answer: nothing is hashed
+    twin = replace(spec)
+    assert twin == spec
+    assert product_form(twin) is not product_form(spec)
+    assert np.array_equal(product_form(twin).rho, rho)
+
+
+def test_a_failed_solve_is_not_kept(monkeypatch):
+    import deadlinenet.analytic
+
+    calls = count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    node = NodeSpec(components=(Exponential(1.0),), routing=((1.0,),))
+    spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
+    for _ in range(2):
+        with pytest.raises(OpennessError):
+            product_form(spec)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e3, 1e7, 1e9])
@@ -178,9 +227,8 @@ def test_rho_scales_linearly_with_arrivals(c):
 
 def _raises_not_open(spec):
     """Every solver rejects ``spec`` as not open."""
-    stats = compute_min_stats(spec)
-    for solve in (lambda: product_form(spec, stats),
-                  lambda: solve_expanded(expand_network(spec, stats)),
+    for solve in (lambda: product_form(spec),
+                  lambda: solve_expanded(expand_network(spec)),
                   lambda: baseline_full_insensitivity(spec),
                   lambda: baseline_service_time_insensitivity(spec)):
         with pytest.raises(OpennessError, match="not open"):
@@ -251,7 +299,7 @@ def test_expanded_flows_match_traffic_solution():
     spec = two_node_deadline_example()
     stats = compute_min_stats(spec)
     direct = solve_traffic(spec, stats)
-    sol = solve_expanded(expand_network(spec, stats))
+    sol = solve_expanded(expand_network(spec))
     np.testing.assert_allclose(sol.alpha.reshape(2, 2), direct.alpha,
                                atol=1e-12)
     assert sol.residual <= 1e-10

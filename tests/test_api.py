@@ -33,3 +33,10 @@ def test_root_exports_exactly_the_module_lists():
     assert inspect.isfunction(deadlinenet.simulate)
     assert deadlinenet.simulate is importlib.import_module(
         "deadlinenet.simulate").simulate
+
+
+def test_exact_solvers_take_only_the_spec():
+    # their answers are kept on the spec, so no caller passes one in
+    for solver in (deadlinenet.product_form, deadlinenet.expand_network,
+                   deadlinenet.baseline_service_time_insensitivity):
+        assert list(inspect.signature(solver).parameters) == ["spec"], solver

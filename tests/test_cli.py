@@ -20,6 +20,8 @@ from deadlinenet.cli import (
 )
 from deadlinenet.config import bundled_scenario_path
 
+from helpers import count_calls
+
 FAST = ["--horizon", "2000", "--warmup", "200"]
 
 
@@ -179,35 +181,24 @@ def test_expand_single_component_network(runner, tmp_path):
     assert tables["expanded_routing"][1] == [["1", "2", "0.5"]]
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap module.name in every deadlinenet namespace that holds it and
-    return the list its calls are appended to."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "deadlinenet" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
-@pytest.mark.parametrize("command", ["solve", "expand", "compare"])
+@pytest.mark.parametrize("command", ["solve", "expand", "compare", "baselines"])
 def test_each_exact_quantity_computed_once_per_command(runner, monkeypatch, command):
     import deadlinenet.analytic
     import deadlinenet.distributions
+    import deadlinenet.model
 
-    stats_calls = _count_calls(monkeypatch, deadlinenet.distributions, "compute_min_stats")
-    traffic_calls = _count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
-    solves = _count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
+    # the computations themselves, not the cached entry points: validation,
+    # the solvers and simulate's check all ask for the structural report
+    checks = count_calls(monkeypatch, deadlinenet.model, "_structure_report")
+    races = count_calls(monkeypatch, deadlinenet.distributions, "_race_stats")
+    traffic_calls = count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    solves = count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
     invoke(runner, command, "--format", "json")
-    assert (len(stats_calls), len(traffic_calls)) == (1, 1)
-    # expand adds the expanded network's solve and compare the
+    assert (len(checks), len(races), len(traffic_calls)) == (1, 1, 1)
+    # expand adds the expanded network's solve, compare and baselines the
     # full-insensitivity one; the service-time baseline reuses the flows
-    assert len(solves) == {"solve": 1, "expand": 2, "compare": 2}[command]
+    assert len(solves) == {"solve": 1, "expand": 2, "compare": 2,
+                           "baselines": 2}[command]
 
 
 def test_baselines_values(runner):

@@ -186,6 +186,15 @@ def test_self_loop_network_not_open():
     assert kinds(report) == [NOT_OPEN]
 
 
+def test_validate_reports_not_open_once_per_call():
+    # the structural report is kept on the spec; validate must not add its
+    # openness violation to the kept one
+    spec = single_node(Exponential(1.0), loop=1.0)
+    for _ in range(2):
+        assert kinds(validate(spec)) == [NOT_OPEN]
+    assert structural_violations(spec) == []
+
+
 def test_two_node_cycle_not_open():
     node_a = NodeSpec(components=(Exponential(1.0),), routing=((0.0, 1.0),))
     node_b = NodeSpec(components=(Exponential(2.0),), routing=((1.0, 0.0),))

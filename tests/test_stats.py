@@ -25,6 +25,7 @@ from deadlinenet import (
 
 from helpers import (
     box_scan_deviation,
+    count_calls,
     mixed_network,
     poisson_pmf,
     random_exponential_network,
@@ -333,6 +334,23 @@ def test_compare_columns_match_sources(example_run):
     assert report.sample_info["seed"] == 8
     assert np.all(report.marginal_distance >= 0.0)
     assert np.all(report.marginal_distance <= 1.0)
+
+
+def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
+    import deadlinenet.distributions
+
+    races = count_calls(monkeypatch, deadlinenet.distributions, "_race_stats")
+    spec = two_node_deadline_example()
+    first, second = compare(spec, example_run), compare(spec, example_run)
+    assert len(races) == 1
+    # a new spec object solves again and must agree with the kept answer
+    fresh = compare(two_node_deadline_example(), example_run)
+    assert len(races) == 2
+    for report in (second, fresh):
+        assert report.mean_table == first.mean_table
+        assert np.array_equal(report.marginal_distance, first.marginal_distance)
+        assert report.product_form_sup == first.product_form_sup
+        assert report.sample_info == first.sample_info
 
 
 def test_compare_empty_network_all_zero():
