@@ -340,11 +340,11 @@ def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
         raise ConfigError(
             f"the marginal table would have {n_rows} rows, more than "
             f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
-    pmf_payload = [{"node": n + 1, "pmf": pf.marginal_pmf(n, upto).tolist()}
+    pmf_payload = [{"node": n + 1, "pmf": pf.marginal_pmf(n, upto)}
                    for n, upto in enumerate(uptos)]
     doc.table("marginal", ["node", "state", "probability"],
               ([entry["node"], x, p] for entry in pmf_payload
-               for x, p in enumerate(entry["pmf"])))
+               for x, p in enumerate(entry["pmf"].tolist())))
     doc.payload.update({
         "rho": pf.rho,
         "traffic": traffic.alpha,

@@ -61,6 +61,8 @@ _BOOLEAN = {"1": True, "yes": True, "true": True, "on": True,
 _DIST_RE = re.compile(r"^([a-z]+)\s*(?:\((.*)\))?$")
 # node<i>.components or node<i>.route<k>, 1-based with no leading zero
 _NODE_KEY_RE = re.compile(r"node([1-9][0-9]*)\.(?:components|route([1-9][0-9]*))")
+# every byte but the routing separators ":" and ","
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b":,")
 
 # scenario token name -> law class
 _LAWS = {law.name: law for law in get_args(ServiceDistribution)}
@@ -180,27 +182,38 @@ def _parse_distribution(section: str, key: str, token: str) -> ServiceDistributi
         raise _fail(section, key, str(exc)) from None
 
 
-def _parse_route(section: str, key: str, raw: str, n_nodes: int) -> tuple[float, ...]:
+def _parse_route(section: str, key: str, raw: str, n_nodes: int,
+                 dense: list[str]) -> tuple[float, ...]:
+    """The routing row of ``raw``. ``dense`` holds the target texts of a
+    row that lists every node as the canonical renderer writes it: "1",
+    " 2", ..., " N"."""
     row = [0.0] * n_nodes
     raw = raw.strip()
     if not raw:
         return tuple(row)
-    # fast path for a well-formed row: int and float accept the same
-    # spellings here as below, and strict zip fails unless every entry has
-    # exactly one colon; any failure re-reads the row entry by entry below,
-    # which raises the located error
-    try:
-        targets, probs = zip(*[entry.split(":") for entry in raw.split(",")],
-                             strict=True)
-        targets = list(map(int, targets))
-        probs = list(map(float, probs))
-    except ValueError:
-        targets = []
-    if (targets and min(targets) >= 1 and max(targets) <= n_nodes
-            and len(set(targets)) == len(targets)):
-        for target, prob in zip(targets, probs):
-            row[target - 1] = prob
-        return tuple(row)
+    # fast path, one pass over an ASCII row. With every other byte deleted,
+    # its separators read ":,:,...,:" exactly when each comma-separated
+    # entry holds one colon; one split then alternates target and
+    # probability texts, which int and float accept in the same spellings
+    # as the loop below. Every other row, and every failure, is read again
+    # by that loop, the only fallback, so each parsed value and each
+    # located error message has one source
+    if raw.isascii():
+        shape = raw.encode().translate(None, _NOT_SEPARATORS)
+        if shape == b":," * (len(shape) // 2) + b":":
+            texts = raw.replace(":", ",").split(",")
+            try:
+                probs = list(map(float, texts[1::2]))
+                if texts[::2] == dense:
+                    return tuple(probs)
+                targets = list(map(int, texts[::2]))
+            except ValueError:
+                targets = []
+            if (targets and min(targets) >= 1 and max(targets) <= n_nodes
+                    and len(set(targets)) == len(targets)):
+                for target, prob in zip(targets, probs):
+                    row[target - 1] = prob
+                return tuple(row)
     seen = set()
     for entry in raw.split(","):
         target_text, sep, prob_text = entry.partition(":")
@@ -253,6 +266,7 @@ def _parse_network(cp: configparser.ConfigParser) -> NetworkSpec:
         raise _fail(section, "arrivals",
                     f"expected {n_nodes} rates, got {len(rates)}")
     arrivals = tuple(_parse_float(section, "arrivals", r) for r in rates)
+    dense = ["1", *(f" {m}" for m in range(2, n_nodes + 1))]
 
     nodes = []
     for i in range(1, n_nodes + 1):
@@ -275,7 +289,7 @@ def _parse_network(cp: configparser.ConfigParser) -> NetworkSpec:
         components = tuple(_parse_distribution(section, ckey, t) for t in merged)
         routing = tuple(
             _parse_route(section, f"node{i}.route{k}",
-                         items.get(f"node{i}.route{k}", ""), n_nodes)
+                         items.get(f"node{i}.route{k}", ""), n_nodes, dense)
             for k in range(1, n_comp + 1)
         )
         nodes.append(NodeSpec(components=components, routing=routing))

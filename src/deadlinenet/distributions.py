@@ -87,7 +87,9 @@ def _truncated_exp_mean(x: float) -> float:
     Bernoulli series where the direct form would cancel."""
     if x < 1e-2:
         return x / 2 - x**2 / 12 + x**4 / 720 - x**6 / 30240
-    if math.isinf(x):
+    if x > 700:
+        # x / (e^x - 1) < 1e-300 here, so the direct form gives 1.0 too
+        # wherever math.expm1 does not overflow (it raises above 709.78)
         return 1.0
     return 1.0 - x / math.expm1(x)
 

@@ -1,6 +1,7 @@
-"""Shared test utilities: the single-race statistics and the canonical
-scenario text, an independent Monte Carlo oracle for minimum statistics,
-a single-draw inverse-transform sampler, the densities of the atomless
+"""Shared test utilities: the single-race statistics, the canonical
+scenario text, the earlier routing-row parser as the reference for the
+one-pass one, an independent Monte Carlo oracle for minimum
+statistics, a single-draw inverse-transform sampler, the densities of the atomless
 laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
@@ -28,7 +29,7 @@ from deadlinenet import (
     validate,
 )
 from deadlinenet.cli import _CSV_HEADER, _csv_cell, _text_cell
-from deadlinenet.config import setting_items
+from deadlinenet.config import _fail, _parse_float, _parse_int, setting_items
 from deadlinenet.distributions import _race_stats
 
 
@@ -85,6 +86,47 @@ def render_scenario(cfg):
                   for key, value in setting_items(section, obj)
                   if value is not None]
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_route(section: str, key: str, raw: str,
+                          n_nodes: int) -> tuple[float, ...]:
+    """config._parse_route as it was before its one-pass fast path: the
+    reference for the values and errors of every routing row."""
+    row = [0.0] * n_nodes
+    raw = raw.strip()
+    if not raw:
+        return tuple(row)
+    # fast path for a well-formed row: int and float accept the same
+    # spellings here as below, and strict zip fails unless every entry has
+    # exactly one colon; any failure re-reads the row entry by entry below,
+    # which raises the located error
+    try:
+        targets, probs = zip(*[entry.split(":") for entry in raw.split(",")],
+                             strict=True)
+        targets = list(map(int, targets))
+        probs = list(map(float, probs))
+    except ValueError:
+        targets = []
+    if (targets and min(targets) >= 1 and max(targets) <= n_nodes
+            and len(set(targets)) == len(targets)):
+        for target, prob in zip(targets, probs):
+            row[target - 1] = prob
+        return tuple(row)
+    seen = set()
+    for entry in raw.split(","):
+        target_text, sep, prob_text = entry.partition(":")
+        if not sep:
+            raise _fail(section, key,
+                        f"expected 'target: probability', got {entry.strip()!r}")
+        target = _parse_int(section, key, target_text.strip())
+        if not 1 <= target <= n_nodes:
+            raise _fail(section, key,
+                        f"target {target} out of range 1..{n_nodes}")
+        if target in seen:
+            raise _fail(section, key, f"duplicate target {target}")
+        seen.add(target)
+        row[target - 1] = _parse_float(section, key, prob_text.strip())
+    return tuple(row)
 
 
 def sample(d, rng):

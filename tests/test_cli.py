@@ -320,6 +320,28 @@ def test_never_winning_mean_renders_as_inf_and_null(runner, tmp_path):
     assert [row["mean_service"] for row in payload["expanded_nodes"]] == [1.0, None]
 
 
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@pytest.mark.parametrize("command", [["solve"], ["expand"], ["baselines"],
+                                     ["compare", *FAST]])
+def test_deadline_far_past_the_mean_is_answered(runner, tmp_path, command):
+    # an Exp(1) transaction racing a 1000 s timeout: the race's truncated
+    # exponential mean at x = 1000 once overflowed math.expm1
+    text = bundled_scenario_path().read_text().replace(
+        "det(value=1.0)", "det(value=1000.0)")
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(text)
+    result = invoke(runner, *command, "--config", str(cfg), "--format", "json")
+    numbers = _numbers(json.loads(result.output))
+    assert numbers and all(np.isfinite(numbers))
+
+
 @pytest.mark.parametrize("partner", ["exp(rate=1.0)", "inf"])
 def test_tiny_weibull_shape_exits_with_a_reserved_code(runner, tmp_path, partner):
     # Weibull(0.005, 1)'s mean and its 1e-16 tail time overflow a float:

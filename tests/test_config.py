@@ -2,7 +2,9 @@ import dataclasses
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deadlinenet import config
 from deadlinenet import (
@@ -23,7 +25,7 @@ from deadlinenet import (
 )
 from deadlinenet.model import NOT_OPEN
 
-from helpers import render_scenario
+from helpers import mixed_network, reference_parse_route, render_scenario
 
 CANONICAL = ScenarioConfig(network=two_node_deadline_example())
 
@@ -240,6 +242,121 @@ def test_route_spellings_that_int_and_float_accept(route, row):
     [parsed] = parse_scenario(_three_nodes(route)).network.nodes[0].routing
     assert parsed == row
     assert [str(q) for q in parsed] == [str(q) for q in row]
+
+
+# spellings of a routing entry's parts that int, float or the entry split
+# treat specially
+_TARGET_SPELLINGS = ["+2", "03", "0_1", "1_", "\u0661", "\uff12", "\ud800",
+                     "1.5", "x", "", "1 0", "9" * 40]
+_PROB_SPELLINGS = ["1_0e-2", ".5", "-0.0", "3", "inf", "-inf", "nan",
+                   "1e400", "0x1", "1e", "abc", ""]
+_SPACES = ["", " ", "  ", "\t", "\n", " \n\t", "\xa0"]
+_COLONS = [":"] * 7 + ["", "::", ": 1:"]
+
+
+@st.composite
+def _route_rows(draw):
+    """(node count, routing row text): all, leading, some or shuffled
+    targets, one out of range, or any integers or odd spellings, each maybe
+    repeated, in the canonical spelling or with odd spacing, missing or
+    doubled colons, an empty entry and a trailing comma; or aligned target
+    and probability texts whose separators are shuffled, so that colons and
+    commas balance across misaligned entries."""
+    n_nodes = draw(st.integers(1, 5))
+    probs = st.one_of(st.floats().map(repr), st.sampled_from(_PROB_SPELLINGS))
+    layout = draw(st.sampled_from(
+        ["dense", "leading", "sparse", "shuffled", "outside", "integers",
+         "spellings", "separators"]))
+    if layout == "separators":
+        k = draw(st.integers(1, 4))
+        texts = [draw(st.integers(1, n_nodes).map(str)) if i % 2 == 0
+                 else draw(probs) for i in range(2 * k)]
+        seps = draw(st.permutations([": "] * k + [", "] * (k - 1)))
+        return n_nodes, texts[0] + "".join(map(str.__add__, seps, texts[1:]))
+    targets = [str(m) for m in range(1, n_nodes + 1)]
+    if layout == "leading":
+        targets = targets[:draw(st.integers(0, n_nodes))]
+    elif layout == "sparse":
+        targets = [t for t in targets if draw(st.booleans())]
+    elif layout == "shuffled":
+        targets = draw(st.permutations(targets))
+    elif layout == "outside":
+        targets[draw(st.integers(0, n_nodes - 1))] = draw(
+            st.sampled_from(["0", "-1", str(n_nodes + 1)]))
+    elif layout == "integers":
+        targets = draw(st.lists(st.integers(-1, n_nodes + 1).map(str),
+                                max_size=n_nodes + 1))
+    elif layout == "spellings":
+        targets = draw(st.lists(st.sampled_from(_TARGET_SPELLINGS),
+                                max_size=3))
+    if targets and draw(st.integers(0, 3)) == 0:
+        targets.append(draw(st.sampled_from(targets)))
+    if draw(st.booleans()):
+        # the spelling the canonical renderer writes
+        return n_nodes, ", ".join(f"{t}: {draw(probs)}" for t in targets)
+    pad = draw(st.sampled_from(_SPACES))
+    entries = [pad + t + draw(st.sampled_from(_COLONS)) + pad + draw(probs)
+               for t in targets]
+    if draw(st.integers(0, 3)) == 0:
+        entries.insert(draw(st.integers(0, len(entries))), pad)
+    row = draw(st.sampled_from([",", ", ", ",\t", ",\n "])).join(entries)
+    return n_nodes, pad + row + draw(st.sampled_from(["", "", ",", ", "]))
+
+
+def _route_outcome(parse, *args):
+    """The reprs of a parsed row, so that -0.0 and 0.0 differ, or the
+    message of its ConfigError."""
+    try:
+        return [repr(q) for q in parse("network", "node1.route1", *args)]
+    except ConfigError as exc:
+        return str(exc)
+
+
+# 150 generated rows, about 0.7 s, and the edge of each check by hand
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_route_rows())
+@example((3, "1: 0.5, 2: 0.25"))
+@example((3, "1: 0.5, 4: 0.25"))
+@example((3, "3: 0.25, 1: -0.0"))
+@example((3, "1: 0.2: 3, 0.4"))
+@example((2, "1: 0.5, \ud800: 0.1"))
+def test_route_parse_matches_the_reference(case):
+    n_nodes, raw = case
+    dense = ["1", *(f" {m}" for m in range(2, n_nodes + 1))]
+    assert (_route_outcome(config._parse_route, raw, n_nodes, dense)
+            == _route_outcome(reference_parse_route, raw, n_nodes))
+
+
+def _refuse_route_ints(monkeypatch):
+    """Make the entry-by-entry reading of any routing row fail."""
+    parse_int = config._parse_int
+
+    def refuse(section, key, raw):
+        assert ".route" not in key, f"{key} was read entry by entry"
+        return parse_int(section, key, raw)
+
+    monkeypatch.setattr(config, "_parse_int", refuse)
+
+
+def test_rendered_dense_rows_take_the_fast_path(monkeypatch):
+    spec = mixed_network(np.random.default_rng(7), 25, 3)
+    assert all(all(row) for node in spec.nodes for row in node.routing)
+    text = render_scenario(ScenarioConfig(network=spec))
+    _refuse_route_ints(monkeypatch)
+    assert parse_scenario(text).network == spec
+
+
+def test_rendered_sparse_rows_take_the_fast_path(monkeypatch):
+    spec = mixed_network(np.random.default_rng(7), 25, 3)
+    # every third target left out, so the renderer skips those entries
+    spec = dataclasses.replace(spec, nodes=tuple(
+        dataclasses.replace(node, routing=tuple(
+            tuple(0.0 if m % 3 == i % 3 else q for m, q in enumerate(row))
+            for row in node.routing))
+        for i, node in enumerate(spec.nodes)))
+    text = render_scenario(ScenarioConfig(network=spec))
+    _refuse_route_ints(monkeypatch)
+    assert parse_scenario(text).network == spec
 
 
 def test_sim_and_output_overrides_parsed():

@@ -16,6 +16,7 @@ from deadlinenet import (
     compute_min_stats,
     two_node_deadline_example,
 )
+from deadlinenet.distributions import _truncated_exp_mean
 from helpers import (
     conditional_mean_given_min,
     density,
@@ -116,6 +117,19 @@ def test_conditional_means_exponential_vs_deadline():
 def test_expected_min_exponential_vs_deadline():
     assert expected_min(RACE) == pytest.approx(1.0 - E_INV, abs=1e-12)
     assert expected_min(RACE) == pytest.approx(0.63212055882855768, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [709.0, 710.0, 1e3, 1e308, math.inf])
+def test_truncated_exp_mean_is_one_far_past_the_mean(x):
+    # math.expm1 overflows above about 709.78; the mean is 1 to the last bit
+    assert _truncated_exp_mean(x) == 1.0
+
+
+def test_exponential_against_a_far_deadline():
+    far = (Exponential(1.0), Deterministic(1000.0))
+    assert min_probability(far, 1) == 0.0
+    assert conditional_mean_given_min(far, 0) == 1.0
+    assert expected_min(far) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_competing_exponentials_closed_form():
