@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import MinStats, compute_min_stats
+from .distributions import compute_min_stats
 from .errors import InfiniteMeanError, OpennessError
 from .model import NetworkSpec, once_per_spec, trapped_nodes
 
@@ -112,7 +112,7 @@ class TrafficSolution:
     residual: float
 
 
-def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
+def solve_traffic(spec: NetworkSpec) -> TrafficSolution:
     """Solve the traffic equations at node level: each visit to node n
     starts a fresh race, so the node inflows solve the N x N system
     Lambda_n = lambda_n + sum_{m,k} Lambda_m p_{m,k} P^k_{m,n}, and
@@ -122,8 +122,9 @@ def solve_traffic(spec: NetworkSpec, stats: MinStats) -> TrafficSolution:
 
     Raises OpennessError when customers at some node can never leave, or
     when the solve is singular or numerically degenerate."""
-    flows, residual = _solve_node_flows(spec, stats.p, "traffic equations")
-    return TrafficSolution(alpha=stats.p * flows[:, None], flows=flows,
+    p = compute_min_stats(spec).p
+    flows, residual = _solve_node_flows(spec, p, "traffic equations")
+    return TrafficSolution(alpha=p * flows[:, None], flows=flows,
                            residual=residual)
 
 
@@ -170,7 +171,7 @@ def product_form(spec: NetworkSpec) -> ProductForm:
 
 def _product_form(spec: NetworkSpec) -> ProductForm:
     stats = compute_min_stats(spec)
-    traffic = solve_traffic(spec, stats)
+    traffic = solve_traffic(spec)
     mask = stats.p > 0
     contrib = np.zeros_like(stats.p)
     contrib[mask] = traffic.alpha[mask] * stats.cond_mean[mask]
@@ -184,40 +185,28 @@ def _product_form(spec: NetworkSpec) -> ProductForm:
 class ExpandedNetwork:
     """The equivalent Markovian network with one node per (node, component).
 
-    Expanded node i = node_ids[i] = (n, k) serves the original component k
-    of node n conditioned on achieving the minimum; customers leaving it are
-    routed to (m, l) with probability routing_from_original * achievement of
-    (m, l), which makes the routing Markovian while preserving the joint law
-    of every supernode (the group of expanded nodes sharing an original n).
+    Expanded node i = n K + k serves component k of node n conditioned on
+    achieving the minimum (its p and cond_mean in compute_min_stats);
+    customers leaving it are routed to (m, l) with probability
+    routing_from_original * achievement of (m, l), which makes the routing
+    Markovian while preserving the joint law of every supernode (the group
+    of expanded nodes sharing an original n).
     """
 
     spec: NetworkSpec
-    node_ids: tuple[tuple[int, int], ...]
     routing: np.ndarray        # (NK, NK)
     external_rates: np.ndarray  # (NK,)
-    cond_means: np.ndarray     # (NK,) mean service time; +inf where p = 0
-    achievement: np.ndarray    # (NK,) flattened p
-    supernode: tuple[int, ...]  # original node of each expanded node
 
 
 def expand_network(spec: NetworkSpec) -> ExpandedNetwork:
     """Build the equivalent expanded network: external rate p_{n,k} lambda_n
     into (n, k), routing (n,k) -> (m,l) with probability P^k_{n,m} p_{m,l}."""
-    stats = compute_min_stats(spec)
-    n_nodes, n_comp = stats.p.shape
-    size = n_nodes * n_comp
-    node_ids = tuple((n, k) for n in range(n_nodes) for k in range(n_comp))
-    routing = np.einsum("nkm,ml->nkml", spec.route_tensor, stats.p)
-    external = stats.p * np.asarray(spec.arrival_rates)[:, None]
-    return ExpandedNetwork(
-        spec=spec,
-        node_ids=node_ids,
-        routing=routing.reshape(size, size),
-        external_rates=external.ravel(),
-        cond_means=stats.cond_mean.reshape(size).copy(),
-        achievement=stats.p.reshape(size).copy(),
-        supernode=tuple(n for n, _ in node_ids),
-    )
+    p = compute_min_stats(spec).p
+    size = p.size
+    routing = np.einsum("nkm,ml->nkml", spec.route_tensor, p)
+    external = p * np.asarray(spec.arrival_rates)[:, None]
+    return ExpandedNetwork(spec=spec, routing=routing.reshape(size, size),
+                           external_rates=external.ravel())
 
 
 @dataclass
@@ -237,19 +226,21 @@ def solve_expanded(expanded: ExpandedNetwork) -> ExpandedSolution:
     occupancies that product_form gets from the N x N node system: the
     supernode aggregates must match its rho to within 1e-9 relative.
     """
-    size = len(expanded.node_ids)
-    coeff = np.eye(size) - expanded.routing.T
     spec = expanded.spec
-    wins = expanded.achievement.reshape(spec.n_nodes, spec.n_components) > 0
+    stats = compute_min_stats(spec)
+    p = stats.p.ravel()
+    coeff = np.eye(p.size) - expanded.routing.T
     alpha, residual = _solve_open(coeff, expanded.external_rates.copy(),
                                   "expanded network flow equations",
-                                  spec.route_tensor, wins)
-    alpha[expanded.achievement == 0] = 0.0
-    rho = np.zeros(size)
-    mask = expanded.achievement > 0
-    rho[mask] = alpha[mask] * expanded.cond_means[mask]
+                                  spec.route_tensor, stats.p > 0)
+    mask = p > 0
+    alpha[~mask] = 0.0
+    rho = np.zeros(p.size)
+    rho[mask] = alpha[mask] * stats.cond_mean.ravel()[mask]
+    # column by column, left to right: each node's K terms in index order
     supernode_rho = np.zeros(spec.n_nodes)
-    np.add.at(supernode_rho, np.asarray(expanded.supernode), rho)
+    for column in rho.reshape(spec.n_nodes, spec.n_components).T:
+        supernode_rho += column
     return ExpandedSolution(alpha=alpha, rho=rho,
                             supernode_rho=supernode_rho, residual=residual)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    ProductForm,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     expand_network,
@@ -32,6 +33,7 @@ from .config import (
     load_scenario,
     setting_items,
 )
+from .distributions import compute_min_stats
 from .errors import (
     ConfigError,
     InfiniteMeanError,
@@ -320,6 +322,21 @@ def _command(name: str, *extra_options, sim: bool = False):
 # ---------------------------------------------------------------------------
 # commands
 
+def _marginal_uptos(pf: ProductForm, limit: Optional[int],
+                    advice: str) -> list[int]:
+    """Each node's last marginal state: ``limit``, or its truncation when
+    None. Raises ConfigError, ending with ``advice``, past
+    _MAX_MARGINAL_ROWS states in all."""
+    uptos = [pf.truncation(n) if limit is None else limit
+             for n in range(len(pf.rho))]
+    n_rows = sum(uptos) + len(uptos)
+    if n_rows > _MAX_MARGINAL_ROWS:
+        raise ConfigError(
+            f"the marginal table would have {n_rows} rows, more than "
+            f"{_MAX_MARGINAL_ROWS}; {advice}")
+    return uptos
+
+
 @_command("solve")
 def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
     """Exact equilibrium occupancies and Poisson marginals."""
@@ -332,14 +349,8 @@ def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
               [[n + 1, k + 1, float(traffic.alpha[n, k])]
                for n in range(spec.n_nodes)
                for k in range(spec.n_components)])
-    limit = scenario.outputs.marginals_upto
-    uptos = [pf.truncation(n) if limit is None else limit
-             for n in range(spec.n_nodes)]
-    n_rows = sum(uptos) + len(uptos)
-    if n_rows > _MAX_MARGINAL_ROWS:
-        raise ConfigError(
-            f"the marginal table would have {n_rows} rows, more than "
-            f"{_MAX_MARGINAL_ROWS}; set outputs.marginals_upto lower")
+    uptos = _marginal_uptos(pf, scenario.outputs.marginals_upto,
+                            "set outputs.marginals_upto lower")
     pmf_payload = [{"node": n + 1, "pmf": pf.marginal_pmf(n, upto)}
                    for n, upto in enumerate(uptos)]
     doc.table("marginal", ["node", "state", "probability"],
@@ -430,6 +441,9 @@ def cmd_simulate(doc: _Doc, scenario: ScenarioConfig, runs: int):
 def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
     """Simulated vs exact vs baseline occupancies."""
     result = simulate(scenario.network, scenario.sim)
+    # the distances read each node's whole truncated exact marginal
+    _marginal_uptos(product_form(scenario.network), None,
+                    "the exact marginals are too wide to compare")
     report = stats_compare(scenario.network, result)
     doc.table("means",
               ["node", "simulated", "exact", "full_insensitivity",
@@ -458,15 +472,16 @@ def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
     expanded = expand_network(spec)
     solution = solve_expanded(expanded)
     pf = product_form(spec)
+    stats = compute_min_stats(spec)
     header = ["index", "node", "component", "external_rate",
               "achievement", "mean_service", "flow", "rho"]
     node_rows = [[i + 1, n + 1, k + 1,
                   float(expanded.external_rates[i]),
-                  float(expanded.achievement[i]),
-                  float(expanded.cond_means[i]),
+                  float(stats.p[n, k]),
+                  float(stats.cond_mean[n, k]),
                   float(solution.alpha[i]),
                   float(solution.rho[i])]
-                 for i, (n, k) in enumerate(expanded.node_ids)]
+                 for i, (n, k) in enumerate(np.ndindex(stats.p.shape))]
     doc.table("expanded_nodes", header, node_rows)
     doc.table("expanded_routing", ["from", "to", "probability"],
               ([i + 1, j + 1, q] for i, row in enumerate(expanded.routing)

@@ -203,7 +203,11 @@ class Weibull(_Law):
             return math.inf
 
     def survival(self, t: float) -> float:
-        return math.exp(-((t / self.scale) ** self.shape))
+        """0 where (t / scale) ** shape overflows (large shapes)."""
+        try:
+            return math.exp(-((t / self.scale) ** self.shape))
+        except OverflowError:
+            return 0.0
 
     def support(self) -> tuple[float, float]:
         return 0.0, math.inf

@@ -147,18 +147,17 @@ def _route_tables(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     and ``targets`` (N*K, W + 1) their nodes, padded with N (the exit). A
     customer whose routing uniform is u goes to
     targets[r, count of thresholds[r] <= u]."""
-    rows = [[(m, q) for m, q in enumerate(row) if q > 0.0]
-            for node in spec.nodes for row in node.routing]
-    width = max(len(row) for row in rows)
-    thresholds = np.zeros((len(rows), width))
-    targets = np.full((len(rows), width + 1), spec.n_nodes)
-    for r, row in enumerate(rows):
-        acc = 0.0
-        for j, (m, q) in enumerate(row):
-            acc += q
-            thresholds[r, j] = acc
-            targets[r, j] = m
-        thresholds[r, len(row):] = acc
+    routes = spec.route_tensor.reshape(-1, spec.n_nodes)
+    positive = routes > 0.0
+    width = int(positive.sum(axis=1).max())
+    # each row's positive entries first, in node order; the +0.0 added
+    # after them pads with the row total, and an empty row with +0.0
+    order = np.argsort(~positive, axis=1, kind="stable")[:, :width]
+    thresholds = np.cumsum(np.take_along_axis(
+        np.where(positive, routes, 0.0), order, axis=1), axis=1)
+    targets = np.full((len(routes), width + 1), spec.n_nodes)
+    targets[:, :width] = np.where(
+        np.take_along_axis(positive, order, axis=1), order, spec.n_nodes)
     return thresholds, targets
 
 

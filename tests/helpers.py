@@ -1,6 +1,7 @@
 """Shared test utilities: the single-race statistics, the canonical
 scenario text, the earlier routing-row parser as the reference for the
-one-pass one, an independent Monte Carlo oracle for minimum
+one-pass one, the earlier simulator routing table as the reference for
+the one built from route_tensor, an independent Monte Carlo oracle for minimum
 statistics, a single-draw inverse-transform sampler, the densities of the atomless
 laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
@@ -17,6 +18,7 @@ import math
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from deadlinenet import (
     Deterministic,
@@ -26,6 +28,7 @@ from deadlinenet import (
     NodeSpec,
     Uniform,
     Weibull,
+    compute_min_stats,
     validate,
 )
 from deadlinenet.cli import _CSV_HEADER, _csv_cell, _text_cell
@@ -129,6 +132,87 @@ def reference_parse_route(section: str, key: str, raw: str,
     return tuple(row)
 
 
+def reference_route_tables(spec):
+    """simulate._route_tables as it was when it walked the routing tuples
+    entry by entry: the reference for the table built from route_tensor."""
+    rows = [[(m, q) for m, q in enumerate(row) if q > 0.0]
+            for node in spec.nodes for row in node.routing]
+    width = max(len(row) for row in rows)
+    thresholds = np.zeros((len(rows), width))
+    targets = np.full((len(rows), width + 1), spec.n_nodes)
+    for r, row in enumerate(rows):
+        acc = 0.0
+        for j, (m, q) in enumerate(row):
+            acc += q
+            thresholds[r, j] = acc
+            targets[r, j] = m
+        thresholds[r, len(row):] = acc
+    return thresholds, targets
+
+
+def random_signed_zero_network(rng, max_nodes=6, empty=False):
+    """Network of 1 to max_nodes nodes and 1-3 exponential components whose
+    routing rows mix positive entries with 0.0 and -0.0; every row is empty
+    (zeros of either sign) when ``empty`` is set. Only the routing is
+    meant to be read: the rows are not checked for openness."""
+    n_nodes = int(rng.integers(1, max_nodes + 1))
+    n_comp = int(rng.integers(1, 4))
+    nodes = []
+    for _ in range(n_nodes):
+        kind = rng.integers(3, size=(n_comp, n_nodes))
+        if empty:
+            kind[kind == 2] = 0
+        mass = rng.dirichlet(np.ones(n_nodes), size=n_comp)
+        mass *= rng.uniform(0.1, 1.0, size=(n_comp, 1))
+        rows = np.where(kind == 2, mass, np.where(kind == 1, -0.0, 0.0))
+        nodes.append(NodeSpec(
+            components=tuple(Exponential(1.0) for _ in range(n_comp)),
+            routing=tuple(tuple(map(float, row)) for row in rows)))
+    return NetworkSpec(nodes=tuple(nodes), arrival_rates=(1.0,) * n_nodes)
+
+
+def _law_tokens():
+    """Scenario tokens of every law, parameters log-uniform in [1e-3, 1e3]."""
+    param = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    pair = st.tuples(param, param)
+    return st.one_of(
+        param.map("exp(rate={!r})".format),
+        param.map("det(value={!r})".format),
+        pair.map(lambda b: "uniform({!r}, {!r})".format(*sorted(b))),
+        pair.map(lambda b: "weibull({!r}, {!r})".format(*b)),
+        st.just("inf"))
+
+
+@st.composite
+def scenario_texts(draw, max_nodes=3, max_components=3, max_rate=3.0):
+    """Scenario text of 1 to max_nodes nodes with 1 to max_components
+    components of any law, arrival rates in [0, max_rate] and sparse routing
+    rows whose masses include 0, 1 and 1 - 10^-k. Most texts are valid;
+    the rest hold ties, closed rows or overfull rows."""
+    n_nodes = draw(st.integers(1, max_nodes))
+    n_comp = draw(st.integers(1, max_components))
+    rates = draw(st.lists(st.floats(0.0, max_rate), min_size=n_nodes,
+                          max_size=n_nodes))
+    lines = ["[network]", f"nodes = {n_nodes}", f"components = {n_comp}",
+             "arrivals = " + ", ".join(map(repr, rates))]
+    masses = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, 1.0] + [1.0 - 10.0 ** -k for k in (1, 3, 7, 11, 15)]))
+    for i in range(1, n_nodes + 1):
+        tokens = draw(st.lists(_law_tokens(), min_size=n_comp,
+                               max_size=n_comp))
+        lines.append(f"node{i}.components = " + ", ".join(tokens))
+        for k in range(1, n_comp + 1):
+            targets = draw(st.lists(st.integers(1, n_nodes), unique=True,
+                                    max_size=n_nodes))
+            mass = draw(masses)
+            share = mass / max(len(targets), 1)
+            probs = [share] * (len(targets) - 1) + [
+                mass - share * (len(targets) - 1)]
+            lines.append(f"node{i}.route{k} = " + ", ".join(
+                f"{m}: {q!r}" for m, q in zip(targets, probs)))
+    return "\n".join(lines) + "\n"
+
+
 def sample(d, rng):
     """One draw from ``d`` by inverse transform of one uniform of ``rng``
     (none for a deterministic law), for single-draw checks."""
@@ -185,7 +269,7 @@ def conditional_sampler(expanded, n, k):
               if not isinstance(d, Infinite)]
     if all(j != k for j, _ in finite):
         raise ValueError(f"component {k + 1} of node {n + 1} is infinite")
-    p = expanded.achievement[n * expanded.spec.n_components + k]
+    p = compute_min_stats(expanded.spec).p[n, k]
     if p == 0:
         raise ValueError(
             f"component {k + 1} of node {n + 1} never achieves the minimum")

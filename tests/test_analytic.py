@@ -51,7 +51,7 @@ RHO = np.array([1.0 / Q, 1.0])
 
 def test_traffic_solution_closed_form():
     spec = two_node_deadline_example()
-    sol = solve_traffic(spec, compute_min_stats(spec))
+    sol = solve_traffic(spec)
     np.testing.assert_allclose(sol.alpha, ALPHA, atol=1e-12)
     np.testing.assert_allclose(
         sol.alpha,
@@ -66,7 +66,7 @@ def test_traffic_flows_vanish_for_never_achieving_components():
     node = NodeSpec(components=(Exponential(1.0), Infinite()),
                     routing=((0.0,), (0.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(2.0,))
-    sol = solve_traffic(spec, compute_min_stats(spec))
+    sol = solve_traffic(spec)
     np.testing.assert_allclose(sol.alpha, [[2.0, 0.0]], atol=1e-12)
 
 
@@ -136,7 +136,7 @@ def test_closed_network_raises_openness_error():
     node = NodeSpec(components=(Exponential(1.0),), routing=((1.0,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     with pytest.raises(OpennessError):
-        solve_traffic(spec, compute_min_stats(spec))
+        solve_traffic(spec)
 
 
 def _reference_networks():
@@ -153,7 +153,7 @@ def test_vectorised_assembly_equals_loop_reference():
     # those agree bit for bit
     for spec in _reference_networks():
         stats = compute_min_stats(spec)
-        alpha = solve_traffic(spec, stats).alpha
+        alpha = solve_traffic(spec).alpha
         reference = loop_traffic(spec, stats)
         assert (np.abs(alpha - reference).max()
                 <= 1e-12 * np.abs(reference).max())
@@ -165,10 +165,9 @@ def test_vectorised_assembly_equals_loop_reference():
 
 def test_product_form_keeps_its_traffic_solution():
     spec = two_node_deadline_example()
-    stats = compute_min_stats(spec)
     pf = product_form(spec)
-    assert np.array_equal(pf.traffic.alpha, solve_traffic(spec, stats).alpha)
-    assert pf.traffic.residual == solve_traffic(spec, stats).residual
+    assert np.array_equal(pf.traffic.alpha, solve_traffic(spec).alpha)
+    assert pf.traffic.residual == solve_traffic(spec).residual
 
 
 def test_exact_answers_are_kept_on_the_spec_read_only():
@@ -267,7 +266,7 @@ def test_every_solver_rejects_a_network_closed_up_to_rounding():
 def test_nearly_closed_network_still_solves():
     node = NodeSpec(components=(Exponential(1.0),), routing=((0.999,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
-    sol = solve_traffic(spec, compute_min_stats(spec))
+    sol = solve_traffic(spec)
     assert sol.alpha[0, 0] == pytest.approx(1000.0, rel=1e-9)
 
 
@@ -276,8 +275,6 @@ def test_nearly_closed_network_still_solves():
 def test_expanded_network_structure():
     spec = two_node_deadline_example()
     expanded = expand_network(spec)
-    assert expanded.node_ids == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert expanded.supernode == (0, 0, 1, 1)
     np.testing.assert_allclose(expanded.external_rates, [Q, E_INV, 0.0, 0.0],
                                atol=1e-12)
     # stage-1 task completion forwards to stage 2, split by achievement
@@ -292,13 +289,13 @@ def test_expanded_network_structure():
     np.testing.assert_allclose(expanded.routing[3], [Q, E_INV, 0, 0],
                                atol=1e-12)
     np.testing.assert_allclose(
-        expanded.cond_means, [0.41802329313067358, 1.0] * 2, atol=1e-12)
+        compute_min_stats(expanded.spec).cond_mean.ravel(),
+        [0.41802329313067358, 1.0] * 2, atol=1e-12)
 
 
 def test_expanded_flows_match_traffic_solution():
     spec = two_node_deadline_example()
-    stats = compute_min_stats(spec)
-    direct = solve_traffic(spec, stats)
+    direct = solve_traffic(spec)
     sol = solve_expanded(expand_network(spec))
     np.testing.assert_allclose(sol.alpha.reshape(2, 2), direct.alpha,
                                atol=1e-12)

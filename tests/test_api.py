@@ -37,6 +37,7 @@ def test_root_exports_exactly_the_module_lists():
 
 def test_exact_solvers_take_only_the_spec():
     # their answers are kept on the spec, so no caller passes one in
-    for solver in (deadlinenet.product_form, deadlinenet.expand_network,
+    for solver in (deadlinenet.solve_traffic, deadlinenet.product_form,
+                   deadlinenet.expand_network,
                    deadlinenet.baseline_service_time_insensitivity):
         assert list(inspect.signature(solver).parameters) == ["spec"], solver

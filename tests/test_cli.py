@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
 
 import deadlinenet
 from deadlinenet import SimConfig, product_form, simulate, two_node_deadline_example
@@ -20,7 +22,7 @@ from deadlinenet.cli import (
 )
 from deadlinenet.config import bundled_scenario_path
 
-from helpers import count_calls
+from helpers import count_calls, scenario_texts
 
 FAST = ["--horizon", "2000", "--warmup", "200"]
 
@@ -296,6 +298,31 @@ def test_solve_refuses_an_unbounded_default_marginal_table(runner, tmp_path):
     assert [len(m["pmf"]) for m in payload["marginals"]] == [4, 4]
 
 
+# the exact rho of node 1 is about 6.3e10: its Poisson marginal would have
+# some 6.3e10 states, while a short simulation stays small
+WIDE = """\
+    [network]
+    nodes = 1
+    components = 2
+    arrivals = 1.0
+    node1.components = exp(rate=1.0), det(value=1.0)
+    node1.route1 = 1: 0.99999999999
+    node1.route2 = 1: 0.99999999999
+    """
+
+
+@pytest.mark.parametrize("command", [["solve"],
+                                     ["compare", "--horizon", "100",
+                                      "--warmup", "10"]])
+def test_an_unbounded_exact_marginal_exits_3(runner, tmp_path, command):
+    cfg = write_config(tmp_path, WIDE)
+    result = runner.invoke(main, [*command, "--config", cfg])
+    assert result.exit_code == EXIT_VALIDATION, result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert "63215067725 rows, more than 1000000" in result.stderr
+
+
 def test_baselines_infinite_component_exits_3(runner, tmp_path):
     cfg = write_config(tmp_path, INFINITE_COMPONENT)
     result = runner.invoke(main, ["baselines", "--config", cfg])
@@ -405,6 +432,37 @@ def test_negative_seed_and_infinite_horizon_exit_3(runner, tmp_path, command,
     result = invoke(runner, *command, "--config", cfg, *override,
                     code=EXIT_VALIDATION)
     assert result.stderr == message + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(scenario_texts())
+@example(textwrap.dedent(WIDE))
+# (1.0 / 0.1) ** 1000 overflows a float in the Weibull survival at the atom
+@example(textwrap.dedent(INFINITE_COMPONENT).replace(
+    "exp(rate=1.0), inf", "det(value=1.0), weibull(1000.0, 0.1)"))
+def test_front_door_exits_with_a_reserved_code(tmp_path_factory, text):
+    # every command on any scenario text either answers with finite numbers
+    # (infinities are the documented nulls) or exits 3, 4 or 5 with a message
+    runner = CliRunner()
+    path = tmp_path_factory.mktemp("fuzz") / "net.cfg"
+    path.write_text(text)
+    short = ["--horizon", "50", "--warmup", "5"]
+    for command in (["solve"], ["expand"], ["baselines"],
+                    ["simulate", *short], ["compare", *short]):
+        result = runner.invoke(main, [*command, "--config", str(path),
+                                      "--format", "json"])
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), command
+        assert result.exit_code in (0, EXIT_VALIDATION, EXIT_OPENNESS,
+                                    EXIT_NUMERICAL), (command, result.stderr)
+        if result.exit_code == 0:
+            numbers = _numbers(json.loads(result.stdout))
+            assert all(map(math.isfinite, numbers)), command
+
+
+def test_simulate_rejects_zero_runs(runner):
+    result = invoke(runner, "simulate", "--runs", "0", code=EXIT_VALIDATION)
+    assert result.stderr == "config error: --runs must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("command, names", [

@@ -115,6 +115,10 @@ def test_sparse_routing_targets_are_one_based():
 @pytest.mark.parametrize("mutation, fragment", [
     ("[extra]\nkey = 1\n", "unknown sections"),
     ("", r"missing \[network\]"),
+    ("node1.route1 = 1: 0.5\n", "malformed scenario file: File contains no "
+     "section headers"),
+    ("[network]\ncomponents = 1\narrivals = 1.0\n",
+     r"^\[network\] nodes: missing required key$"),
 ])
 def test_section_level_errors(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -149,6 +153,19 @@ def test_section_level_errors(mutation, fragment):
     (_single_node("exp(rate=1.0)") + "\n[outputs]\nplot = true\n",
      "unknown keys"),
     (_single_node("exp(rate=1.0)", route="1: 0.0, 1: 0.3"), "duplicate target"),
+    (_single_node("exp(rate=1.0)") + "\n[sim]\nrecord_joint = maybe\n",
+     r"^\[sim\] record_joint: expected true/false, got 'maybe'$"),
+    (_single_node("exp(rate=1.0"), r"bad distribution token 'exp\(rate=1\.0'"),
+    (_single_node("exp(rate=1.0, rate=2.0)"), "duplicate parameter 'rate'"),
+    (_single_node("exp(rate=1.0)").replace("nodes = 1", "nodes = 0"),
+     r"^\[network\] nodes and components must be >= 1$"),
+    (_single_node("exp(rate=1.0)").replace("components = 1", "components = 0"),
+     r"^\[network\] nodes and components must be >= 1$"),
+    (_single_node("exp(rate=1.0)").replace("node1.components = exp(rate=1.0)\n",
+                                           ""),
+     r"^\[network\] node1\.components: missing required key$"),
+    (_single_node("exp(rate=1.0), det(value=1.0)"),
+     "node1.components: expected 1 components, got 2"),
 ])
 def test_key_level_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

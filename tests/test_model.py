@@ -141,6 +141,17 @@ def test_routing_row_length_mismatch():
     assert kinds(structural_violations(spec)) == [BAD_SHAPE]
 
 
+@pytest.mark.parametrize("nodes, where, message", [
+    ((), "network", "network has no nodes"),
+    ((NodeSpec(components=(), routing=()),), "node 1", "node has no components"),
+    ((NodeSpec(components=(Exponential(1.0),), routing=((0.0,), (0.0,))),),
+     "node 1", "expected 1 routing rows, got 2"),
+], ids=["no nodes", "no components", "routing rows"])
+def test_shape_violations_are_located(nodes, where, message):
+    spec = NetworkSpec(nodes=nodes, arrival_rates=(1.0,) * len(nodes))
+    assert validate(spec) == [Violation(BAD_SHAPE, where, message)]
+
+
 def test_negative_routing_probability():
     spec = single_node(Exponential(1.0), loop=-0.2)
     assert kinds(structural_violations(spec)) == [ROW_NOT_SUBSTOCHASTIC]

@@ -21,7 +21,14 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from helpers import poisson_pmf, random_general_network
+from deadlinenet.simulate import _route_tables
+
+from helpers import (
+    poisson_pmf,
+    random_general_network,
+    random_signed_zero_network,
+    reference_route_tables,
+)
 
 CFG = SimConfig(seed=7, horizon=3_000.0, warmup=300.0)
 
@@ -169,6 +176,21 @@ def test_tied_minimum_goes_to_the_lowest_component():
     assert res.ties == counts.arrivals[0]
     assert counts.departures[0, 1] == 0
     assert counts.departures[0, 0] == counts.arrivals[0] - res.final_occupancy[0]
+
+
+def test_route_tables_match_the_entry_by_entry_reference():
+    rng = np.random.default_rng(17)
+    # rows longer than 16 entries, where an unstable sort would show
+    specs = [random_signed_zero_network(rng, max_nodes=40 if i % 8 == 1 else 6,
+                                        empty=(i % 25 == 0))
+             for i in range(400)]
+    for spec in specs:
+        for got, want in zip(_route_tables(spec), reference_route_tables(spec)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    # some networks have only empty rows: no threshold, every customer exits
+    assert any(_route_tables(spec)[0].shape[1] == 0 for spec in specs)
 
 
 def test_joint_recording_optional():
