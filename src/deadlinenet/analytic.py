@@ -12,8 +12,9 @@ the product of the marginals.
 
 Also provided: the equivalent expanded network (one single-outcome node per
 (node, component), Markovian routing weighted by downstream achievement
-probabilities), whose (NK) x (NK) flow equations are solved as an
-independent cross-check, and the two naive mean-value approximations
+probabilities), which solve_expanded builds from the spec and solves as
+an independent cross-check, one (NK) x (NK) flow system returned with its
+routing and external rates; and the two naive mean-value approximations
 (treat every component as exponential; or keep the true routing split but
 use summed reciprocal means as the rate) that the exact solution corrects.
 """
@@ -27,18 +28,21 @@ from typing import Optional
 import numpy as np
 
 from .distributions import compute_min_stats
-from .errors import InfiniteMeanError, OpennessError
-from .model import NetworkSpec, once_per_spec, trapped_nodes
+from .errors import InfiniteMeanError, InvalidNetworkError, OpennessError
+from .model import (
+    NetworkSpec,
+    once_per_spec,
+    structural_violations,
+    trapped_nodes,
+)
 
 __all__ = [
     "TrafficSolution",
     "ProductForm",
-    "ExpandedNetwork",
     "ExpandedSolution",
     "BaselineResult",
     "solve_traffic",
     "product_form",
-    "expand_network",
     "solve_expanded",
     "baseline_full_insensitivity",
     "baseline_service_time_insensitivity",
@@ -70,8 +74,6 @@ def _solve_open(A: np.ndarray, b: np.ndarray, what: str, routes: np.ndarray,
         raise OpennessError(
             f"{what}: singular system — network not open "
             f"or numerically degenerate ({exc})") from exc
-    if not b.size:
-        return x, 0.0
     # ndarray methods: np.max and friends cost several times more per call
     # on the small systems that compare solves twice
     residual = float(np.abs(A @ x - b).max())
@@ -182,55 +184,41 @@ def _product_form(spec: NetworkSpec) -> ProductForm:
 
 
 @dataclass
-class ExpandedNetwork:
-    """The equivalent Markovian network with one node per (node, component).
+class ExpandedSolution:
+    """The equivalent Markovian network with one node per (node, component),
+    solved: its routing and external rates, per-expanded-node flows and
+    occupancies, and supernode aggregates.
 
     Expanded node i = n K + k serves component k of node n conditioned on
-    achieving the minimum (its p and cond_mean in compute_min_stats);
-    customers leaving it are routed to (m, l) with probability
-    routing_from_original * achievement of (m, l), which makes the routing
+    achieving the minimum (its p and cond_mean in compute_min_stats). Its
+    external rate is p_{n,k} lambda_n, and customers leaving it are routed
+    to (m, l) with probability P^k_{n,m} p_{m,l}, which makes the routing
     Markovian while preserving the joint law of every supernode (the group
     of expanded nodes sharing an original n).
     """
 
-    spec: NetworkSpec
-    routing: np.ndarray        # (NK, NK)
+    routing: np.ndarray         # (NK, NK)
     external_rates: np.ndarray  # (NK,)
-
-
-def expand_network(spec: NetworkSpec) -> ExpandedNetwork:
-    """Build the equivalent expanded network: external rate p_{n,k} lambda_n
-    into (n, k), routing (n,k) -> (m,l) with probability P^k_{n,m} p_{m,l}."""
-    p = compute_min_stats(spec).p
-    size = p.size
-    routing = np.einsum("nkm,ml->nkml", spec.route_tensor, p)
-    external = p * np.asarray(spec.arrival_rates)[:, None]
-    return ExpandedNetwork(spec=spec, routing=routing.reshape(size, size),
-                           external_rates=external.ravel())
-
-
-@dataclass
-class ExpandedSolution:
-    """Per-expanded-node flows and occupancies plus supernode aggregates."""
-
-    alpha: np.ndarray          # (NK,)
-    rho: np.ndarray            # (NK,)
-    supernode_rho: np.ndarray  # (N,)
+    alpha: np.ndarray           # (NK,)
+    rho: np.ndarray             # (NK,)
+    supernode_rho: np.ndarray   # (N,)
     residual: float
 
 
-def solve_expanded(expanded: ExpandedNetwork) -> ExpandedSolution:
-    """Standard open-network infinite-server solve on the expanded network.
+def solve_expanded(spec: NetworkSpec) -> ExpandedSolution:
+    """Build the expanded network and solve it as a standard open
+    infinite-server network.
 
     This is the one (NK) x (NK) solve, an independent path to the
     occupancies that product_form gets from the N x N node system: the
     supernode aggregates must match its rho to within 1e-9 relative.
     """
-    spec = expanded.spec
     stats = compute_min_stats(spec)
     p = stats.p.ravel()
-    coeff = np.eye(p.size) - expanded.routing.T
-    alpha, residual = _solve_open(coeff, expanded.external_rates.copy(),
+    routing = np.einsum("nkm,ml->nkml", spec.route_tensor,
+                        stats.p).reshape(p.size, p.size)
+    external = (stats.p * np.asarray(spec.arrival_rates)[:, None]).ravel()
+    alpha, residual = _solve_open(np.eye(p.size) - routing.T, external,
                                   "expanded network flow equations",
                                   spec.route_tensor, stats.p > 0)
     mask = p > 0
@@ -241,7 +229,8 @@ def solve_expanded(expanded: ExpandedNetwork) -> ExpandedSolution:
     supernode_rho = np.zeros(spec.n_nodes)
     for column in rho.reshape(spec.n_nodes, spec.n_components).T:
         supernode_rho += column
-    return ExpandedSolution(alpha=alpha, rho=rho,
+    return ExpandedSolution(routing=routing, external_rates=external,
+                            alpha=alpha, rho=rho,
                             supernode_rho=supernode_rho, residual=residual)
 
 
@@ -256,9 +245,12 @@ class BaselineResult:
 
 
 def _component_rates(spec: NetworkSpec) -> np.ndarray:
-    """Reciprocal means per (node, component); a component whose mean is
-    not finite (an Infinite one, or a heavy-tailed law) is a contract
-    violation for the baseline methods."""
+    """Reciprocal means per (node, component) of a structurally valid
+    spec; a component whose mean is not finite (an Infinite one, or a
+    heavy-tailed law) is a contract violation for the baseline methods."""
+    report = structural_violations(spec)
+    if report:
+        raise InvalidNetworkError(report)
     rates = np.zeros((spec.n_nodes, spec.n_components))
     for n, node in enumerate(spec.nodes):
         for k, comp in enumerate(node.components):

@@ -22,7 +22,6 @@ from .analytic import (
     ProductForm,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
-    expand_network,
     product_form,
     solve_expanded,
 )
@@ -469,14 +468,13 @@ def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
 def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
     """Equivalent Markovian network, solved both ways as a cross-check."""
     spec = scenario.network
-    expanded = expand_network(spec)
-    solution = solve_expanded(expanded)
+    solution = solve_expanded(spec)
     pf = product_form(spec)
     stats = compute_min_stats(spec)
     header = ["index", "node", "component", "external_rate",
               "achievement", "mean_service", "flow", "rho"]
     node_rows = [[i + 1, n + 1, k + 1,
-                  float(expanded.external_rates[i]),
+                  float(solution.external_rates[i]),
                   float(stats.p[n, k]),
                   float(stats.cond_mean[n, k]),
                   float(solution.alpha[i]),
@@ -484,7 +482,7 @@ def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
                  for i, (n, k) in enumerate(np.ndindex(stats.p.shape))]
     doc.table("expanded_nodes", header, node_rows)
     doc.table("expanded_routing", ["from", "to", "probability"],
-              ([i + 1, j + 1, q] for i, row in enumerate(expanded.routing)
+              ([i + 1, j + 1, q] for i, row in enumerate(solution.routing)
                for j, q in enumerate(row.tolist()) if q > 0.0))
     diff = np.abs(solution.supernode_rho - pf.rho)
     doc.table("supernode_rho", ["node", "direct", "aggregated", "abs_diff"],
@@ -497,7 +495,7 @@ def cmd_expand(doc: _Doc, scenario: ScenarioConfig) -> Optional[str]:
              f"({'OK' if ok else 'MISMATCH'})")
     doc.payload.update({
         "expanded_nodes": [dict(zip(header, row)) for row in node_rows],
-        "routing": expanded.routing,
+        "routing": solution.routing,
         "supernode_rho": solution.supernode_rho,
         "direct_rho": pf.rho,
         "check": {"max_abs_diff": worst, "ok": ok},

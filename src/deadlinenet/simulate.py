@@ -409,7 +409,9 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
             if has_tail:
                 tail = -np.log1p(-draws)
                 if has_power:
-                    tail **= power[node]
+                    # a tiny shape overflows to inf: the right draw
+                    with np.errstate(over="ignore"):
+                        tail **= power[node]
                 service += scale[node] * tail
             k = service.argmin(axis=1)
             best = service[np.arange(m), k]

@@ -261,15 +261,16 @@ def joint_pmf(pf, occupancy):
     return float(np.prod([pf.marginal_pmf(n, x)[x] for n, x in enumerate(xs)]))
 
 
-def conditional_sampler(expanded, n, k):
-    """Sampler for S_{n,k} of an expanded network given that it achieves
-    the minimum (rejection on joint draws of node n's finite components)."""
-    node = expanded.spec.nodes[n]
+def conditional_sampler(spec, n, k):
+    """Sampler for S_{n,k}, the service of expanded node (n, k), given that
+    it achieves the minimum (rejection on joint draws of node n's finite
+    components)."""
+    node = spec.nodes[n]
     finite = [(j, d) for j, d in enumerate(node.components)
               if not isinstance(d, Infinite)]
     if all(j != k for j, _ in finite):
         raise ValueError(f"component {k + 1} of node {n + 1} is infinite")
-    p = compute_min_stats(expanded.spec).p[n, k]
+    p = compute_min_stats(spec).p[n, k]
     if p == 0:
         raise ValueError(
             f"component {k + 1} of node {n + 1} never achieves the minimum")
@@ -316,7 +317,7 @@ def loop_traffic(spec, stats):
 
 def loop_expansion(spec, stats):
     """(routing, external_rates) of the expanded network assembled entry by
-    entry: the reference for expand_network."""
+    entry: the reference for solve_expanded."""
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
     node_ids = [(n, k) for n in range(n_nodes) for k in range(n_comp)]

@@ -23,7 +23,6 @@ from deadlinenet import (
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     compute_min_stats,
-    expand_network,
     product_form,
     replicate,
     simulate,
@@ -152,7 +151,7 @@ def test_c06_exponential_networks_are_insensitive():
             product_form(spec).rho,
             baseline_full_insensitivity(spec).rho,
             baseline_service_time_insensitivity(spec).rho,
-            solve_expanded(expand_network(spec)).supernode_rho,
+            solve_expanded(spec).supernode_rho,
         ]
         for a, b in itertools.combinations(candidates, 2):
             worst = max(worst, float(np.abs(a - b).max()))
@@ -168,7 +167,7 @@ def test_c07_expansion_matches_direct_solution():
     for _ in range(20):
         spec = random_general_network(rng)
         direct = product_form(spec).rho
-        aggregated = solve_expanded(expand_network(spec)).supernode_rho
+        aggregated = solve_expanded(spec).supernode_rho
         worst = max(worst, float(np.abs(direct - aggregated).max()))
     report("expansion equivalence", [
         (worst <= 1e-9,

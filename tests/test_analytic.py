@@ -10,6 +10,7 @@ from deadlinenet import (
     Exponential,
     Infinite,
     InfiniteMeanError,
+    InvalidNetworkError,
     NetworkSpec,
     NodeSpec,
     OpennessError,
@@ -19,12 +20,13 @@ from deadlinenet import (
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     compute_min_stats,
-    expand_network,
     product_form,
     solve_expanded,
     solve_traffic,
+    structural_violations,
     two_node_deadline_example,
 )
+from deadlinenet.analytic import _solve_open
 
 from helpers import (
     conditional_sampler,
@@ -158,7 +160,7 @@ def test_vectorised_assembly_equals_loop_reference():
         assert (np.abs(alpha - reference).max()
                 <= 1e-12 * np.abs(reference).max())
         routing, external = loop_expansion(spec, stats)
-        expanded = expand_network(spec)
+        expanded = solve_expanded(spec)
         assert np.array_equal(expanded.routing, routing)
         assert np.array_equal(expanded.external_rates, external)
 
@@ -226,12 +228,10 @@ def test_rho_scales_linearly_with_arrivals(c):
 
 def _raises_not_open(spec):
     """Every solver rejects ``spec`` as not open."""
-    for solve in (lambda: product_form(spec),
-                  lambda: solve_expanded(expand_network(spec)),
-                  lambda: baseline_full_insensitivity(spec),
-                  lambda: baseline_service_time_insensitivity(spec)):
+    for solve in (product_form, solve_expanded, baseline_full_insensitivity,
+                  baseline_service_time_insensitivity):
         with pytest.raises(OpennessError, match="not open"):
-            solve()
+            solve(spec)
 
 
 def test_closed_networks_raise_even_when_rounding_hides_it():
@@ -263,6 +263,45 @@ def test_every_solver_rejects_a_network_closed_up_to_rounding():
     _raises_not_open(decimal_closed_network())
 
 
+def _one_exponential(routing, arrival_rates):
+    node = NodeSpec(components=(Exponential(1.0),), routing=routing)
+    return NetworkSpec(nodes=(node,), arrival_rates=arrival_rates)
+
+
+@pytest.mark.parametrize("spec", [
+    _one_exponential(((-0.5,),), (1.0,)),
+    NetworkSpec(nodes=(), arrival_rates=()),
+    NetworkSpec(nodes=(NodeSpec(components=(Exponential(1.0),),
+                                routing=((0.5,),)),
+                       NodeSpec(components=(Exponential(1.0),),
+                                routing=((0.0, 0.0),))),
+                arrival_rates=(1.0, 0.0)),
+    _one_exponential(((0.0,),), (1.0, 1.0)),
+], ids=["negative-route", "no-nodes", "ragged-row", "two-arrival-rates"])
+def test_every_exact_entry_point_rejects_an_invalid_spec(spec):
+    report = structural_violations(spec)
+    assert report
+    for solve in (compute_min_stats, solve_traffic, product_form,
+                  solve_expanded, baseline_full_insensitivity,
+                  baseline_service_time_insensitivity):
+        with pytest.raises(InvalidNetworkError) as info:
+            solve(spec)
+        assert info.value.report == report, solve
+
+
+@pytest.mark.parametrize("A, b, message", [
+    ([[0.0]], [1.0], "singular system"),
+    ([[1.0]], [-1.0], "negative flow -1.000e+00 at index 0 "),
+], ids=["singular", "negative-flow"])
+def test_solve_open_rejects_a_degenerate_system(A, b, message):
+    # an open 1 x 1 route tensor, so the trapped-node check passes first
+    routes = np.zeros((1, 1, 1))
+    with pytest.raises(OpennessError) as info:
+        _solve_open(np.array(A), np.array(b), "test system", routes,
+                    np.ones((1, 1), dtype=bool))
+    assert str(info.value).startswith(f"test system: {message}")
+
+
 def test_nearly_closed_network_still_solves():
     node = NodeSpec(components=(Exponential(1.0),), routing=((0.999,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
@@ -274,7 +313,7 @@ def test_nearly_closed_network_still_solves():
 
 def test_expanded_network_structure():
     spec = two_node_deadline_example()
-    expanded = expand_network(spec)
+    expanded = solve_expanded(spec)
     np.testing.assert_allclose(expanded.external_rates, [Q, E_INV, 0.0, 0.0],
                                atol=1e-12)
     # stage-1 task completion forwards to stage 2, split by achievement
@@ -289,14 +328,14 @@ def test_expanded_network_structure():
     np.testing.assert_allclose(expanded.routing[3], [Q, E_INV, 0, 0],
                                atol=1e-12)
     np.testing.assert_allclose(
-        compute_min_stats(expanded.spec).cond_mean.ravel(),
+        compute_min_stats(spec).cond_mean.ravel(),
         [0.41802329313067358, 1.0] * 2, atol=1e-12)
 
 
 def test_expanded_flows_match_traffic_solution():
     spec = two_node_deadline_example()
     direct = solve_traffic(spec)
-    sol = solve_expanded(expand_network(spec))
+    sol = solve_expanded(spec)
     np.testing.assert_allclose(sol.alpha.reshape(2, 2), direct.alpha,
                                atol=1e-12)
     assert sol.residual <= 1e-10
@@ -305,7 +344,7 @@ def test_expanded_flows_match_traffic_solution():
 def test_supernode_aggregation_matches_product_form():
     spec = two_node_deadline_example()
     pf = product_form(spec)
-    sol = solve_expanded(expand_network(spec))
+    sol = solve_expanded(spec)
     np.testing.assert_allclose(sol.supernode_rho, pf.rho, atol=1e-12)
 
 
@@ -314,21 +353,20 @@ def test_expansion_equivalence_on_random_networks():
     for _ in range(5):
         spec = random_general_network(rng)
         pf = product_form(spec)
-        sol = solve_expanded(expand_network(spec))
+        sol = solve_expanded(spec)
         np.testing.assert_allclose(sol.supernode_rho, pf.rho, atol=1e-11)
 
 
 def test_conditional_sampler_matches_conditional_mean():
     spec = two_node_deadline_example()
-    expanded = expand_network(spec)
     rng = np.random.default_rng(99)
-    draw = conditional_sampler(expanded, 0, 0)
+    draw = conditional_sampler(spec, 0, 0)
     samples = np.array([draw(rng) for _ in range(20_000)])
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - 0.41802329313067358) < 4 * se
     assert samples.max() < 1.0  # the winner beat a unit deadline
     # the deadline side always returns exactly the deadline
-    deadline_draw = conditional_sampler(expanded, 0, 1)
+    deadline_draw = conditional_sampler(spec, 0, 1)
     assert {deadline_draw(rng) for _ in range(50)} == {1.0}
 
 
@@ -336,9 +374,8 @@ def test_conditional_sampler_rejects_never_achieving_component():
     node = NodeSpec(components=(Exponential(1.0), Infinite()),
                     routing=((0.0,), (0.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
-    expanded = expand_network(spec)
     with pytest.raises(ValueError):
-        conditional_sampler(expanded, 0, 1)
+        conditional_sampler(spec, 0, 1)
 
 
 # --- naive single-rate approximations ---------------------------------------

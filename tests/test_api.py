@@ -8,14 +8,14 @@ MODULES = ("analytic", "config", "distributions", "errors", "model",
 
 ROOT_NAMES = [
     "BaselineResult", "ComparisonReport", "ConfigError", "DeadlinenetError",
-    "Deterministic", "EventCounts", "ExpandedNetwork", "ExpandedSolution",
+    "Deterministic", "EventCounts", "ExpandedSolution",
     "Exponential", "Infinite", "InfiniteMeanError", "InvalidNetworkError",
     "MinStats", "NetworkSpec", "NodeSpec", "OpennessError", "OutputOptions",
     "ProductForm", "QuadratureError", "ReplicateSummary", "ScenarioConfig",
     "SimConfig", "SimResult", "TrafficSolution", "Uniform", "Violation",
     "Weibull", "baseline_full_insensitivity",
     "baseline_service_time_insensitivity", "bundled_scenario_path", "compare",
-    "compute_min_stats", "empirical_marginal", "expand_network",
+    "compute_min_stats", "empirical_marginal",
     "load_scenario", "parse_scenario", "product_form", "product_form_deviation",
     "replicate", "simulate", "solve_expanded", "solve_traffic",
     "structural_violations", "total_variation", "two_node_deadline_example",
@@ -38,6 +38,7 @@ def test_root_exports_exactly_the_module_lists():
 def test_exact_solvers_take_only_the_spec():
     # their answers are kept on the spec, so no caller passes one in
     for solver in (deadlinenet.solve_traffic, deadlinenet.product_form,
-                   deadlinenet.expand_network,
+                   deadlinenet.solve_expanded,
+                   deadlinenet.baseline_full_insensitivity,
                    deadlinenet.baseline_service_time_insensitivity):
         assert list(inspect.signature(solver).parameters) == ["spec"], solver

@@ -440,6 +440,9 @@ def test_negative_seed_and_infinite_horizon_exit_3(runner, tmp_path, command,
 # (1.0 / 0.1) ** 1000 overflows a float in the Weibull survival at the atom
 @example(textwrap.dedent(INFINITE_COMPONENT).replace(
     "exp(rate=1.0), inf", "det(value=1.0), weibull(1000.0, 0.1)"))
+# a draw of Weibull(0.001, 1.0) overflows to inf in the simulator
+@example(textwrap.dedent(INFINITE_COMPONENT).replace(
+    "exp(rate=1.0), inf", "exp(rate=1.0), weibull(0.001, 1.0)"))
 def test_front_door_exits_with_a_reserved_code(tmp_path_factory, text):
     # every command on any scenario text either answers with finite numbers
     # (infinities are the documented nulls) or exits 3, 4 or 5 with a message
@@ -458,6 +461,8 @@ def test_front_door_exits_with_a_reserved_code(tmp_path_factory, text):
         if result.exit_code == 0:
             numbers = _numbers(json.loads(result.stdout))
             assert all(map(math.isfinite, numbers)), command
+            if command[0] == "simulate":
+                assert result.stderr == "", result.stderr
 
 
 def test_simulate_rejects_zero_runs(runner):
@@ -484,8 +489,12 @@ def test_usage_errors_use_reserved_exit_code(runner):
 
 
 def test_parse_csv_tables_rejects_foreign_text():
-    with pytest.raises(ValueError):
-        parse_csv_tables("state,probability\n0,1.0\n")
+    for text, message in [
+            ("state,probability\n0,1.0\n", "not a recognized"),
+            ("# deadlinenet-csv v1 solve\n0,1.0\n",
+             "data before first table marker: '0,1.0'")]:
+        with pytest.raises(ValueError, match=message):
+            parse_csv_tables(text)
 
 
 def run_from_source(code, *args):

@@ -220,6 +220,33 @@ def test_compute_min_stats_rejects_invalid_spec():
         compute_min_stats(spec)
 
 
+@pytest.mark.parametrize("halved, message", [
+    (0, "achievement probabilities at node 2 sum to 0.500000000000, expected 1"),
+    (1, "total expectation mismatch at node 2: "),
+], ids=["p", "cond_mean"])
+def test_inconsistent_race_statistics_name_their_node(monkeypatch, halved,
+                                                      message):
+    import deadlinenet.distributions
+
+    race_stats = deadlinenet.distributions._race_stats
+
+    def inconsistent(races, labels):
+        # halve node 2's row of p or of cond_mean
+        stats = race_stats(races, labels)
+        stats[halved][1] *= 0.5
+        return stats
+
+    monkeypatch.setattr(deadlinenet.distributions, "_race_stats",
+                        inconsistent)
+    nodes = tuple(NodeSpec(components=(Exponential(rate), Deterministic(1.0)),
+                           routing=((0.0, 0.0), (0.0, 0.0)))
+                  for rate in (1.0, 2.0))
+    spec = NetworkSpec(nodes=nodes, arrival_rates=(1.0, 1.0))
+    with pytest.raises(QuadratureError) as info:
+        compute_min_stats(spec)
+    assert str(info.value).startswith(message)
+
+
 def test_infinite_component_stats():
     node = NodeSpec(components=(Exponential(2.0), Infinite()),
                     routing=((0.0,), (0.0,)))

@@ -135,8 +135,8 @@ def test_expand_stdout_equals_out_file(tmp_path, mixed_config):
 def test_failed_expansion_check_writes_the_whole_document(monkeypatch, tmp_path):
     solve_expanded = cli.solve_expanded
 
-    def mismatched(expanded):
-        solution = solve_expanded(expanded)
+    def mismatched(spec):
+        solution = solve_expanded(spec)
         return dataclasses.replace(
             solution, supernode_rho=solution.supernode_rho * (1 + 1e-6))
 
