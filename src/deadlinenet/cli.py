@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import NOT_OPEN
 from .simulate import replicate, simulate
-from .stats import compare as stats_compare
+from .stats import _exact_side, compare as stats_compare
 
 __all__ = [
     "main",
@@ -439,11 +439,15 @@ def cmd_simulate(doc: _Doc, scenario: ScenarioConfig, runs: int):
 @_command("compare", sim=True)
 def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
     """Simulated vs exact vs baseline occupancies."""
-    result = simulate(scenario.network, scenario.sim)
-    # the distances read each node's whole truncated exact marginal
-    _marginal_uptos(product_form(scenario.network), None,
+    spec = scenario.network
+    # the exact side first, so that a network it cannot answer fails before
+    # the run: the distances read each node's whole truncated exact
+    # marginal, bounded here before it is built, and what _exact_side
+    # computes is kept on the spec for stats_compare to read
+    _marginal_uptos(product_form(spec), None,
                     "the exact marginals are too wide to compare")
-    report = stats_compare(scenario.network, result)
+    _exact_side(spec)
+    report = stats_compare(spec, simulate(spec, scenario.sim))
     doc.table("means",
               ["node", "simulated", "exact", "full_insensitivity",
                "service_time_insensitivity"],
@@ -453,7 +457,7 @@ def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
                for n, row in enumerate(report.mean_table)])
     doc.table("marginal_tv", ["node", "tv_distance"],
               [[n + 1, float(report.marginal_distance[n])]
-               for n in range(scenario.network.n_nodes)])
+               for n in range(spec.n_nodes)])
     if report.product_form_sup is not None:
         doc.note(f"product_form_sup = {report.product_form_sup!r}")
     doc.payload.update({

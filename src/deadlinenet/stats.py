@@ -13,12 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .analytic import (
+    ProductForm,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     product_form,
 )
 from .errors import InfiniteMeanError
-from .model import NetworkSpec
+from .model import NetworkSpec, once_per_spec
 from .simulate import SimResult
 
 __all__ = [
@@ -157,19 +158,43 @@ class ComparisonReport:
     sample_info: dict[str, float]
 
 
+def _exact_marginals(spec: NetworkSpec) -> tuple[np.ndarray, ...]:
+    """Each node's exact Poisson pmf over 0..truncation(n), read-only."""
+    pf = product_form(spec)
+    pmfs = tuple(pf.marginal_pmf(n) for n in range(spec.n_nodes))
+    for pmf in pmfs:
+        pmf.flags.writeable = False
+    return pmfs
+
+
+def _baseline_rho(solve, spec: NetworkSpec) -> Optional[np.ndarray]:
+    """A baseline's occupancies, None when it rejects ``spec``."""
+    try:
+        return solve(spec).rho
+    except InfiniteMeanError:
+        return None
+
+
+def _exact_side(spec: NetworkSpec) -> tuple[
+        ProductForm, Optional[np.ndarray], Optional[np.ndarray],
+        tuple[np.ndarray, ...]]:
+    """Everything :func:`compare` reads of ``spec`` alone: the product
+    form, each baseline's rho (or None) and each node's exact pmf. Every
+    part is kept on ``spec`` (see :func:`model.once_per_spec`)."""
+    return (product_form(spec),
+            _baseline_rho(baseline_full_insensitivity, spec),
+            _baseline_rho(baseline_service_time_insensitivity, spec),
+            once_per_spec(spec, _exact_marginals))
+
+
 def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
     """Assemble the verification report for a run of ``spec``. The exact
-    solution is kept on ``spec``, so comparing many runs of one spec object
-    solves it once."""
-    pf = product_form(spec)
-    try:
-        full = baseline_full_insensitivity(spec).rho
-    except InfiniteMeanError:
-        full = None
-    try:
-        service = baseline_service_time_insensitivity(spec).rho
-    except InfiniteMeanError:
-        service = None
+    solution, both baselines and each node's exact marginal are kept on
+    ``spec``, so comparing many runs of one spec object computes them
+    once; each later call pays only for the run's side. A baseline that
+    rejects the network is asked again, and reported as None, each
+    time."""
+    pf, full, service, exact = _exact_side(spec)
     table = tuple(
         {
             "simulated": float(result.means[n]),
@@ -181,7 +206,7 @@ def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
         for n in range(spec.n_nodes)
     )
     distances = np.array([
-        total_variation(empirical_marginal(result, n), pf.marginal_pmf(n))
+        total_variation(empirical_marginal(result, n), exact[n])
         for n in range(spec.n_nodes)
     ])
     sup = (product_form_deviation(result)

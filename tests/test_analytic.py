@@ -173,16 +173,29 @@ def test_product_form_keeps_its_traffic_solution():
 
 
 def test_exact_answers_are_kept_on_the_spec_read_only():
+    from deadlinenet.stats import _exact_side
+
     spec = two_node_deadline_example()
     pf = product_form(spec)
     stats = compute_min_stats(spec)
+    full = baseline_full_insensitivity(spec)
+    svc = baseline_service_time_insensitivity(spec)
+    pmfs = _exact_side(spec)[3]
     assert product_form(spec) is pf
     assert compute_min_stats(spec) is stats
+    assert baseline_full_insensitivity(spec) is full
+    assert baseline_service_time_insensitivity(spec) is svc
+    assert _exact_side(spec)[3] is pmfs
+    assert [pmf.tolist() for pmf in pmfs] == [
+        pf.marginal_pmf(n).tolist() for n in range(spec.n_nodes)]
     for array in (pf.rho, pf.traffic.alpha, pf.traffic.flows,
                   stats.p, stats.cond_mean, stats.mean_min,
-                  baseline_service_time_insensitivity(spec).node_flows):
+                  full.rho, full.rates_used, full.node_flows,
+                  svc.rho, svc.rates_used, svc.node_flows, *pmfs):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+    with pytest.raises(AttributeError):
+        full.rho = full.rho.copy()
     np.testing.assert_allclose(pf.rho, RHO, atol=1e-12)
     # a copy or an unpickled spec solves afresh, into read-only arrays
     for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
@@ -191,6 +204,9 @@ def test_exact_answers_are_kept_on_the_spec_read_only():
         assert np.array_equal(product_form(twin).rho, pf.rho)
         assert not product_form(twin).rho.flags.writeable
         assert not twin.route_tensor.flags.writeable
+        assert baseline_full_insensitivity(twin) is not full
+        assert np.array_equal(baseline_full_insensitivity(twin).rho, full.rho)
+        assert _exact_side(twin)[3] is not pmfs
 
 
 def test_each_spec_object_gets_its_own_answer():

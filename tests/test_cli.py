@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 
 import deadlinenet
 from deadlinenet import SimConfig, product_form, simulate, two_node_deadline_example
@@ -323,6 +323,19 @@ def test_an_unbounded_exact_marginal_exits_3(runner, tmp_path, command):
     assert "63215067725 rows, more than 1000000" in result.stderr
 
 
+def test_compare_checks_the_exact_side_before_the_run(runner, tmp_path,
+                                                     monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before the exact side was checked")
+
+    monkeypatch.setattr("deadlinenet.cli.simulate", no_run)
+    cfg = write_config(tmp_path, WIDE)
+    result = runner.invoke(main, ["compare", "--config", cfg,
+                                  "--horizon", "100", "--warmup", "10"])
+    assert result.exit_code == EXIT_VALIDATION, result.stderr
+    assert "63215067725 rows, more than 1000000" in result.stderr
+
+
 def test_baselines_infinite_component_exits_3(runner, tmp_path):
     cfg = write_config(tmp_path, INFINITE_COMPONENT)
     result = runner.invoke(main, ["baselines", "--config", cfg])
@@ -434,6 +447,9 @@ def test_negative_seed_and_infinite_horizon_exit_3(runner, tmp_path, command,
     assert result.stderr == message + "\n"
 
 
+# the fixed seed pins the 40 draws: under derandomize alone they are drawn
+# from a digest of this test's source, and any edit to it would redraw them
+@seed(2022)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(scenario_texts())
 @example(textwrap.dedent(WIDE))
@@ -513,6 +529,23 @@ def test_version_from_a_source_checkout():
         "--version")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, f"deadlinenet, version {deadlinenet.__version__}\n", "")
+
+
+def test_baselines_overflowing_flows_print_one_message(tmp_path):
+    # arrivals of 1e308 overflow the full-insensitivity flows: the residual
+    # is nan, which exits 4 with a message and no interpreter warning
+    text = bundled_scenario_path().read_text().replace(
+        "arrivals = 1.0, 0.0", "arrivals = 1e308, 0.0")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    proc = run_from_source(
+        "import sys; from deadlinenet.cli import main; sys.exit(main())",
+        "baselines", "--config", str(cfg))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OPENNESS, "",
+        "openness error: full_insensitivity flow equations: residual nan "
+        "exceeds 1.000e+298 (1e-10 of the largest inflow) — network not open "
+        "or numerically degenerate\n")
 
 
 def test_cli_import_loads_no_scipy():

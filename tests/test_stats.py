@@ -337,16 +337,29 @@ def test_compare_columns_match_sources(example_run):
 
 
 def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
+    import deadlinenet.analytic
     import deadlinenet.distributions
+    import deadlinenet.model
 
-    races = count_calls(monkeypatch, deadlinenet.distributions, "_race_stats")
+    calls = {name: count_calls(monkeypatch, module, name)
+             for module, name in [(deadlinenet.distributions, "_race_stats"),
+                                  (deadlinenet.analytic, "_solve_open"),
+                                  (deadlinenet.model, "trapped_nodes"),
+                                  (deadlinenet.analytic, "_poisson_pmf")]}
     spec = two_node_deadline_example()
-    first, second = compare(spec, example_run), compare(spec, example_run)
-    assert len(races) == 1
-    # a new spec object solves again and must agree with the kept answer
+    first = compare(spec, example_run)
+    once = {name: len(made) for name, made in calls.items()}
+    # the traffic equations and the full-insensitivity baseline are solved,
+    # and each node's exact pmf is evaluated, on the first call only
+    assert once == {"_race_stats": 1, "_solve_open": 2, "trapped_nodes": 2,
+                    "_poisson_pmf": 2}
+    later = [compare(spec, example_run) for _ in range(3)]
+    assert {name: len(made) for name, made in calls.items()} == once
+    # a new spec object computes again and must agree with the kept answer
     fresh = compare(two_node_deadline_example(), example_run)
-    assert len(races) == 2
-    for report in (second, fresh):
+    assert {name: len(made) for name, made in calls.items()} == {
+        name: 2 * count for name, count in once.items()}
+    for report in (*later, fresh):
         assert report.mean_table == first.mean_table
         assert np.array_equal(report.marginal_distance, first.marginal_distance)
         assert report.product_form_sup == first.product_form_sup
@@ -377,7 +390,10 @@ def test_compare_analytic_columns_collapse_for_exponential_networks():
             row["exact"], abs=1e-9)
 
 
-def test_compare_tolerates_baseline_rejection():
+def test_compare_tolerates_baseline_rejection(monkeypatch):
+    import deadlinenet.analytic
+
+    solves = count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
     node = NodeSpec(components=(Exponential(1.0), Infinite()),
                     routing=((0.0,), (0.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
@@ -387,6 +403,13 @@ def test_compare_tolerates_baseline_rejection():
     assert row["full_insensitivity"] is None
     assert row["service_time_insensitivity"] is None
     assert row["exact"] == pytest.approx(1.0, abs=1e-12)
+    # the rejection is not kept: a second compare asks again, reports None
+    # again, and still solves the exact side once
+    again = compare(spec, res)
+    assert again.mean_table == report.mean_table
+    assert np.array_equal(again.marginal_distance, report.marginal_distance)
+    assert again.product_form_sup == report.product_form_sup
+    assert len(solves) == 1
 
 
 def test_compare_without_joint_skips_sup(example_run):
