@@ -239,8 +239,7 @@ def solve_expanded(spec: NetworkSpec) -> ExpandedSolution:
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """Occupancies from one of the naive single-rate approximations. From
-    the baseline functions, all three arrays are read-only."""
+    """Occupancies from one of the naive single-rate approximations."""
 
     method: str
     rho: np.ndarray
@@ -267,43 +266,24 @@ def _component_rates(spec: NetworkSpec) -> np.ndarray:
     return rates
 
 
-def _baseline(method: str, rho: np.ndarray, rates_used: np.ndarray,
-              node_flows: np.ndarray) -> BaselineResult:
-    """The result over these arrays, made read-only."""
-    for array in (rho, rates_used, node_flows):
-        array.flags.writeable = False
-    return BaselineResult(method=method, rho=rho, rates_used=rates_used,
-                          node_flows=node_flows)
-
-
 def baseline_full_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Pretend every component is exponential with its mean preserved: node
-    rate sum of reciprocal means, routing mixed by rate share. Solved once
-    per spec object (see :func:`model.once_per_spec`); an
-    InfiniteMeanError is raised again on every call."""
-    return once_per_spec(spec, _full_insensitivity)
-
-
-def _full_insensitivity(spec: NetworkSpec) -> BaselineResult:
+    rate sum of reciprocal means, routing mixed by rate share."""
     rates = _component_rates(spec)
     node_rates = rates.sum(axis=1)
     flows, _ = _solve_node_flows(spec, rates / node_rates[:, None],
                                  "full_insensitivity flow equations")
-    return _baseline("full_insensitivity", flows / node_rates, node_rates,
-                     flows)
+    return BaselineResult(method="full_insensitivity", rho=flows / node_rates,
+                          rates_used=node_rates, node_flows=flows)
 
 
 def baseline_service_time_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Keep the true achievement probabilities in the routing mix but still
     use the summed reciprocal means as each node's service rate. That
-    routing mix is the exact one, so the node flows are the
-    ``traffic.flows`` of :func:`product_form`. Kept on the spec as
-    :func:`baseline_full_insensitivity` is."""
-    return once_per_spec(spec, _service_time_insensitivity)
-
-
-def _service_time_insensitivity(spec: NetworkSpec) -> BaselineResult:
+    routing mix is the exact one, so the node flows are the read-only
+    ``traffic.flows`` of :func:`product_form`."""
     node_rates = _component_rates(spec).sum(axis=1)
     flows = product_form(spec).traffic.flows
-    return _baseline("service_time_insensitivity", flows / node_rates,
-                     node_rates, flows)
+    return BaselineResult(method="service_time_insensitivity",
+                          rho=flows / node_rates,
+                          rates_used=node_rates, node_flows=flows)

@@ -78,13 +78,19 @@ def product_form_deviation(result: SimResult) -> float:
       outside J is found by binary search for each in the sorted rows of
       J, after dropping those that cannot exceed the first term.
     """
-    states, weights = result.joint_states, result.joint_weights
-    if states is None:
+    if result.joint_states is None:
         raise ValueError("joint occupancy was not recorded; "
                          "rerun with record_joint=True")
-    n_nodes = states.shape[1]
+    return _deviation(result, [empirical_marginal(result, n)
+                               for n in range(result.joint_states.shape[1])])
+
+
+def _deviation(result: SimResult, pmfs: list[np.ndarray]) -> float:
+    """:func:`product_form_deviation` of ``result``, whose nodes' empirical
+    pmfs are ``pmfs``."""
+    states, weights = result.joint_states, result.joint_weights
+    n_nodes = len(pmfs)
     nodes = np.arange(n_nodes)[:, None]
-    pmfs = [empirical_marginal(result, n) for n in range(n_nodes)]
     size = np.array([len(pmf) for pmf in pmfs])
     # marginal[n, x]: zero at unvisited occupancies and in the padding past
     # the largest, which ends every node's rank order
@@ -158,42 +164,49 @@ class ComparisonReport:
     sample_info: dict[str, float]
 
 
-def _exact_marginals(spec: NetworkSpec) -> tuple[np.ndarray, ...]:
-    """Each node's exact Poisson pmf over 0..truncation(n), read-only."""
-    pf = product_form(spec)
-    pmfs = tuple(pf.marginal_pmf(n) for n in range(spec.n_nodes))
-    for pmf in pmfs:
-        pmf.flags.writeable = False
-    return pmfs
-
-
 def _baseline_rho(solve, spec: NetworkSpec) -> Optional[np.ndarray]:
-    """A baseline's occupancies, None when it rejects ``spec``."""
+    """A baseline's occupancies, read-only; None when it rejects ``spec``."""
     try:
-        return solve(spec).rho
+        rho = solve(spec).rho
     except InfiniteMeanError:
         return None
+    rho.flags.writeable = False
+    return rho
 
 
 def _exact_side(spec: NetworkSpec) -> tuple[
         ProductForm, Optional[np.ndarray], Optional[np.ndarray],
         tuple[np.ndarray, ...]]:
     """Everything :func:`compare` reads of ``spec`` alone: the product
-    form, each baseline's rho (or None) and each node's exact pmf. Every
-    part is kept on ``spec`` (see :func:`model.once_per_spec`)."""
-    return (product_form(spec),
-            _baseline_rho(baseline_full_insensitivity, spec),
-            _baseline_rho(baseline_service_time_insensitivity, spec),
-            once_per_spec(spec, _exact_marginals))
+    form, each baseline's rho (None when it rejects the network) and each
+    node's exact pmf over 0..truncation(n), all read-only. Computed once
+    per spec object and kept on it (see :func:`model.once_per_spec`)."""
+    return once_per_spec(spec, _solve_exact_side)
+
+
+def _solve_exact_side(spec: NetworkSpec):
+    pf = product_form(spec)
+    full = _baseline_rho(baseline_full_insensitivity, spec)
+    service = _baseline_rho(baseline_service_time_insensitivity, spec)
+    exact = tuple(pf.marginal_pmf(n) for n in range(spec.n_nodes))
+    for pmf in exact:
+        pmf.flags.writeable = False
+    return pf, full, service, exact
 
 
 def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
-    """Assemble the verification report for a run of ``spec``. The exact
-    solution, both baselines and each node's exact marginal are kept on
-    ``spec``, so comparing many runs of one spec object computes them
-    once; each later call pays only for the run's side. A baseline that
-    rejects the network is asked again, and reported as None, each
-    time."""
+    """Assemble the verification report for a run of ``spec``. Everything
+    it reads of ``spec`` alone (the exact solution, both baselines, each
+    node's exact marginal) is kept on ``spec``, a baseline's rejection
+    included, so comparing many runs of one spec object computes it once;
+    each later call pays only for the run's side, whose empirical pmfs it
+    builds once. Raises ValueError when ``result`` is not a run of
+    ``spec.n_nodes`` nodes."""
+    if not len(result.means) == len(result.marginal_weights) == spec.n_nodes:
+        raise ValueError(
+            f"the result has {len(result.means)} node means and "
+            f"{len(result.marginal_weights)} marginals; the spec has "
+            f"{spec.n_nodes} nodes")
     pf, full, service, exact = _exact_side(spec)
     table = tuple(
         {
@@ -205,11 +218,10 @@ def compare(spec: NetworkSpec, result: SimResult) -> ComparisonReport:
         }
         for n in range(spec.n_nodes)
     )
-    distances = np.array([
-        total_variation(empirical_marginal(result, n), exact[n])
-        for n in range(spec.n_nodes)
-    ])
-    sup = (product_form_deviation(result)
+    pmfs = [empirical_marginal(result, n) for n in range(spec.n_nodes)]
+    distances = np.array([total_variation(pmf, exact[n])
+                          for n, pmf in enumerate(pmfs)])
+    sup = (_deviation(result, pmfs)
            if result.joint_weights is not None else None)
     cfg = result.config
     info = {"horizon": cfg.horizon, "warmup": cfg.warmup, "seed": cfg.seed}

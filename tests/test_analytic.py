@@ -180,33 +180,47 @@ def test_exact_answers_are_kept_on_the_spec_read_only():
     stats = compute_min_stats(spec)
     full = baseline_full_insensitivity(spec)
     svc = baseline_service_time_insensitivity(spec)
-    pmfs = _exact_side(spec)[3]
+    side = _exact_side(spec)
+    kept_pf, full_rho, svc_rho, pmfs = side
     assert product_form(spec) is pf
     assert compute_min_stats(spec) is stats
-    assert baseline_full_insensitivity(spec) is full
-    assert baseline_service_time_insensitivity(spec) is svc
-    assert _exact_side(spec)[3] is pmfs
+    assert _exact_side(spec) is side
+    assert kept_pf is pf
+    # the baselines are plain functions: each call answers afresh, equally
+    for solve, first, kept in ((baseline_full_insensitivity, full, full_rho),
+                               (baseline_service_time_insensitivity, svc,
+                                svc_rho)):
+        again = solve(spec)
+        assert again is not first and again.rho is not first.rho
+        assert again.rho is not kept
+        assert np.array_equal(again.rho, first.rho)
+        assert np.array_equal(kept, first.rho)
     assert [pmf.tolist() for pmf in pmfs] == [
         pf.marginal_pmf(n).tolist() for n in range(spec.n_nodes)]
     for array in (pf.rho, pf.traffic.alpha, pf.traffic.flows,
-                  stats.p, stats.cond_mean, stats.mean_min,
-                  full.rho, full.rates_used, full.node_flows,
-                  svc.rho, svc.rates_used, svc.node_flows, *pmfs):
+                  stats.p, stats.cond_mean, stats.mean_min, svc.node_flows,
+                  full_rho, svc_rho, *pmfs):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     with pytest.raises(AttributeError):
         full.rho = full.rho.copy()
     np.testing.assert_allclose(pf.rho, RHO, atol=1e-12)
-    # a copy or an unpickled spec solves afresh, into read-only arrays
+    # a copy or an unpickled spec carries no record: it solves afresh, into
+    # read-only arrays
     for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
         assert twin == spec
         assert product_form(twin) is not pf
         assert np.array_equal(product_form(twin).rho, pf.rho)
         assert not product_form(twin).rho.flags.writeable
         assert not twin.route_tensor.flags.writeable
-        assert baseline_full_insensitivity(twin) is not full
-        assert np.array_equal(baseline_full_insensitivity(twin).rho, full.rho)
-        assert _exact_side(twin)[3] is not pmfs
+        twin_side = _exact_side(twin)
+        assert twin_side is not side
+        assert twin_side[0] is product_form(twin)
+        for kept, twin_kept in zip((full_rho, svc_rho, *pmfs),
+                                   (*twin_side[1:3], *twin_side[3])):
+            assert twin_kept is not kept
+            assert np.array_equal(twin_kept, kept)
+            assert not twin_kept.flags.writeable
 
 
 def test_each_spec_object_gets_its_own_answer():

@@ -340,30 +340,59 @@ def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
     import deadlinenet.analytic
     import deadlinenet.distributions
     import deadlinenet.model
+    import deadlinenet.stats
 
     calls = {name: count_calls(monkeypatch, module, name)
-             for module, name in [(deadlinenet.distributions, "_race_stats"),
-                                  (deadlinenet.analytic, "_solve_open"),
-                                  (deadlinenet.model, "trapped_nodes"),
-                                  (deadlinenet.analytic, "_poisson_pmf")]}
+             for module, name in [
+                 (deadlinenet.distributions, "_race_stats"),
+                 (deadlinenet.analytic, "_solve_open"),
+                 (deadlinenet.model, "trapped_nodes"),
+                 (deadlinenet.analytic, "_poisson_pmf"),
+                 (deadlinenet.analytic, "baseline_full_insensitivity"),
+                 (deadlinenet.analytic, "baseline_service_time_insensitivity"),
+                 (deadlinenet.stats, "empirical_marginal")]}
+
+    def made():
+        return {name: len(log) for name, log in calls.items()}
+
     spec = two_node_deadline_example()
     first = compare(spec, example_run)
-    once = {name: len(made) for name, made in calls.items()}
+    once = made()
     # the traffic equations and the full-insensitivity baseline are solved,
-    # and each node's exact pmf is evaluated, on the first call only
+    # and each node's exact pmf is evaluated, on the first call only; each
+    # node's empirical pmf is built once per call, for the distances and
+    # the product-form deviation both
     assert once == {"_race_stats": 1, "_solve_open": 2, "trapped_nodes": 2,
-                    "_poisson_pmf": 2}
+                    "_poisson_pmf": 2, "baseline_full_insensitivity": 1,
+                    "baseline_service_time_insensitivity": 1,
+                    "empirical_marginal": 2}
     later = [compare(spec, example_run) for _ in range(3)]
-    assert {name: len(made) for name, made in calls.items()} == once
+    assert made() == {**once, "empirical_marginal": 4 * 2}
     # a new spec object computes again and must agree with the kept answer
     fresh = compare(two_node_deadline_example(), example_run)
-    assert {name: len(made) for name, made in calls.items()} == {
-        name: 2 * count for name, count in once.items()}
+    assert made() == {**{name: 2 * count for name, count in once.items()},
+                      "empirical_marginal": 5 * 2}
     for report in (*later, fresh):
         assert report.mean_table == first.mean_table
         assert np.array_equal(report.marginal_distance, first.marginal_distance)
         assert report.product_form_sup == first.product_form_sup
         assert report.sample_info == first.sample_info
+
+
+def test_compare_rejects_a_run_of_another_network(example_run):
+    def network(n_nodes):
+        node = NodeSpec(components=(Exponential(1.0),),
+                        routing=((0.0,) * n_nodes,))
+        return NetworkSpec(nodes=(node,) * n_nodes,
+                           arrival_rates=(1.0,) * n_nodes)
+
+    # the two-node run against a spec with fewer nodes and one with more
+    for n_nodes in (1, 3):
+        with pytest.raises(ValueError) as raised:
+            compare(network(n_nodes), example_run)
+        assert str(raised.value) == (
+            "the result has 2 node means and 2 marginals; the spec has "
+            f"{n_nodes} nodes")
 
 
 def test_compare_empty_network_all_zero():
@@ -394,6 +423,7 @@ def test_compare_tolerates_baseline_rejection(monkeypatch):
     import deadlinenet.analytic
 
     solves = count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
+    rates = count_calls(monkeypatch, deadlinenet.analytic, "_component_rates")
     node = NodeSpec(components=(Exponential(1.0), Infinite()),
                     routing=((0.0,), (0.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
@@ -403,13 +433,17 @@ def test_compare_tolerates_baseline_rejection(monkeypatch):
     assert row["full_insensitivity"] is None
     assert row["service_time_insensitivity"] is None
     assert row["exact"] == pytest.approx(1.0, abs=1e-12)
-    # the rejection is not kept: a second compare asks again, reports None
-    # again, and still solves the exact side once
-    again = compare(spec, res)
-    assert again.mean_table == report.mean_table
-    assert np.array_equal(again.marginal_distance, report.marginal_distance)
-    assert again.product_form_sup == report.product_form_sup
+    # the rejection depends on the spec alone and is kept with the exact
+    # side: each baseline asks once, and two more compares report None
+    # again without asking
+    for _ in range(2):
+        again = compare(spec, res)
+        assert again.mean_table == report.mean_table
+        assert np.array_equal(again.marginal_distance,
+                              report.marginal_distance)
+        assert again.product_form_sup == report.product_form_sup
     assert len(solves) == 1
+    assert len(rates) == 2
 
 
 def test_compare_without_joint_skips_sup(example_run):
