@@ -8,7 +8,9 @@ Q_{n,m} = sum_k p_{n,k} P^k_{n,m}: one N x N linear system, the classical
 form for product-form networks (Kelly, Reversibility and Stochastic
 Networks, 1979, ch. 3). In equilibrium every node's occupancy is Poisson
 with mean rho_n = sum_k alpha_{n,k} * cond_mean_{n,k}, and the joint law is
-the product of the marginals.
+the product of the marginals. product_form solves this once per spec and
+returns it as one ProductForm record: rho, alpha, the node flows Lambda and
+the residual of the solve.
 
 Also provided: the equivalent expanded network (one single-outcome node per
 (node, component), Markovian routing weighted by downstream achievement
@@ -37,11 +39,9 @@ from .model import (
 )
 
 __all__ = [
-    "TrafficSolution",
     "ProductForm",
     "ExpandedSolution",
     "BaselineResult",
-    "solve_traffic",
     "product_form",
     "solve_expanded",
     "baseline_full_insensitivity",
@@ -107,32 +107,6 @@ def _solve_node_flows(spec: NetworkSpec, weights: np.ndarray,
                        weights > 0)
 
 
-@dataclass(frozen=True)
-class TrafficSolution:
-    """Equilibrium flows: flows[n] into each node (external plus internal)
-    and alpha[n, k] = p_{n,k} flows[n] into each (node, component)."""
-
-    alpha: np.ndarray
-    flows: np.ndarray
-    residual: float
-
-
-def solve_traffic(spec: NetworkSpec) -> TrafficSolution:
-    """Solve the traffic equations at node level: each visit to node n
-    starts a fresh race, so the node inflows solve the N x N system
-    Lambda_n = lambda_n + sum_{m,k} Lambda_m p_{m,k} P^k_{m,n}, and
-    alpha_{n,k} = p_{n,k} Lambda_n solves the per-(node, component)
-    equations alpha_{n,k} = p_{n,k} (lambda_n + sum_{m,l} P^l_{m,n}
-    alpha_{m,l}) exactly.
-
-    Raises OpennessError when customers at some node can never leave, or
-    when the solve is singular or numerically degenerate."""
-    p = compute_min_stats(spec).p
-    flows, residual = _solve_node_flows(spec, p, "traffic equations")
-    return TrafficSolution(alpha=p * flows[:, None], flows=flows,
-                           residual=residual)
-
-
 def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
     """Poisson(rho) pmf at the integers x >= 0, in log space:
     exp(x log rho - rho - lgamma(x + 1))."""
@@ -146,14 +120,17 @@ def _poisson_pmf(x: np.ndarray, rho: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProductForm:
-    """Equilibrium occupancy: independent Poisson(rho[n]) at each node.
-
-    ``traffic`` is the solution of the traffic equations that rho was
-    computed from. From :func:`product_form`, all three arrays are
-    read-only."""
+    """Equilibrium of the network: independent Poisson(rho[n]) occupancy at
+    each node, with the solution of the traffic equations it comes from:
+    flows[n] into each node (external plus internal), alpha[n, k] =
+    p_{n,k} flows[n] into each (node, component), and the absolute
+    residual of the node solve. From :func:`product_form`, all three
+    arrays are read-only."""
 
     rho: np.ndarray
-    traffic: TrafficSolution
+    alpha: np.ndarray
+    flows: np.ndarray
+    residual: float
 
     def truncation(self, n: int) -> int:
         """Support bound used for tables and metrics; the tail mass beyond
@@ -170,20 +147,31 @@ class ProductForm:
 
 def product_form(spec: NetworkSpec) -> ProductForm:
     """Exact equilibrium distribution of the network, solved once per spec
-    object (see :func:`model.once_per_spec`)."""
+    object (see :func:`model.once_per_spec`).
+
+    Each visit to node n starts a fresh race, so the node inflows solve the
+    N x N traffic equations Lambda_n = lambda_n + sum_{m,k} Lambda_m
+    p_{m,k} P^k_{m,n}, and alpha_{n,k} = p_{n,k} Lambda_n solves the
+    per-(node, component) equations alpha_{n,k} = p_{n,k} (lambda_n +
+    sum_{m,l} P^l_{m,n} alpha_{m,l}) exactly. Then rho_n = sum_k alpha_{n,k}
+    cond_mean_{n,k}.
+
+    Raises OpennessError when customers at some node can never leave, or
+    when the solve is singular or numerically degenerate."""
     return once_per_spec(spec, _product_form)
 
 
 def _product_form(spec: NetworkSpec) -> ProductForm:
     stats = compute_min_stats(spec)
-    traffic = solve_traffic(spec)
+    flows, residual = _solve_node_flows(spec, stats.p, "traffic equations")
+    alpha = stats.p * flows[:, None]
     mask = stats.p > 0
     contrib = np.zeros_like(stats.p)
-    contrib[mask] = traffic.alpha[mask] * stats.cond_mean[mask]
+    contrib[mask] = alpha[mask] * stats.cond_mean[mask]
     rho = contrib.sum(axis=1)
-    for array in (rho, traffic.alpha, traffic.flows):
+    for array in (rho, alpha, flows):
         array.flags.writeable = False
-    return ProductForm(rho=rho, traffic=traffic)
+    return ProductForm(rho=rho, alpha=alpha, flows=flows, residual=residual)
 
 
 @dataclass
@@ -281,9 +269,9 @@ def baseline_service_time_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Keep the true achievement probabilities in the routing mix but still
     use the summed reciprocal means as each node's service rate. That
     routing mix is the exact one, so the node flows are the read-only
-    ``traffic.flows`` of :func:`product_form`."""
+    ``flows`` of :func:`product_form`."""
     node_rates = _component_rates(spec).sum(axis=1)
-    flows = product_form(spec).traffic.flows
+    flows = product_form(spec).flows
     return BaselineResult(method="service_time_insensitivity",
                           rho=flows / node_rates,
                           rates_used=node_rates, node_flows=flows)

@@ -341,11 +341,10 @@ def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
     """Exact equilibrium occupancies and Poisson marginals."""
     spec = scenario.network
     pf = product_form(spec)
-    traffic = pf.traffic
     doc.table("rho", ["node", "rho"],
               [[n + 1, float(pf.rho[n])] for n in range(spec.n_nodes)])
     doc.table("traffic", ["node", "component", "flow"],
-              [[n + 1, k + 1, float(traffic.alpha[n, k])]
+              [[n + 1, k + 1, float(pf.alpha[n, k])]
                for n in range(spec.n_nodes)
                for k in range(spec.n_components)])
     uptos = _marginal_uptos(pf, scenario.outputs.marginals_upto,
@@ -357,8 +356,8 @@ def cmd_solve(doc: _Doc, scenario: ScenarioConfig):
                for x, p in enumerate(entry["pmf"].tolist())))
     doc.payload.update({
         "rho": pf.rho,
-        "traffic": traffic.alpha,
-        "residual": traffic.residual,
+        "traffic": pf.alpha,
+        "residual": pf.residual,
         "marginals": pmf_payload,
     })
 

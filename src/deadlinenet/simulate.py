@@ -482,13 +482,10 @@ class ReplicateSummary:
     """Independent replications plus pooled means with standard errors."""
 
     results: list[SimResult]
+    per_run_means: np.ndarray    # (runs, N) each run's means, in run order
     means: np.ndarray            # (N,) pooled across runs
     standard_errors: np.ndarray  # (N,) zero when runs == 1
     runs: int
-
-    @property
-    def per_run_means(self) -> np.ndarray:
-        return np.vstack([r.means for r in self.results])
 
 
 def replicate(spec: NetworkSpec, cfg: SimConfig, runs: int) -> ReplicateSummary:
@@ -510,5 +507,5 @@ def replicate(spec: NetworkSpec, cfg: SimConfig, runs: int) -> ReplicateSummary:
         errors = per_run.std(axis=0, ddof=1) / math.sqrt(runs)
     else:
         errors = np.zeros_like(means)
-    return ReplicateSummary(results=results, means=means,
-                            standard_errors=errors, runs=runs)
+    return ReplicateSummary(results=results, per_run_means=per_run,
+                            means=means, standard_errors=errors, runs=runs)

@@ -294,7 +294,7 @@ def loop_traffic(spec, stats):
     """Flows alpha[n, k] from the per-(node, component) traffic equations
     alpha_{n,k} = p_{n,k} lambda_n + sum_{m,l} p_{n,k} P^l_{m,n} alpha_{m,l},
     assembled entry by entry and solved as one (NK) x (NK) system: the
-    reference for the node-level solve_traffic."""
+    reference for the node-level solve in product_form."""
     n_nodes, n_comp = stats.p.shape
     size = n_nodes * n_comp
 

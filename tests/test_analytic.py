@@ -1,7 +1,7 @@
 import copy
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,14 +15,12 @@ from deadlinenet import (
     NodeSpec,
     OpennessError,
     ProductForm,
-    TrafficSolution,
     Uniform,
     baseline_full_insensitivity,
     baseline_service_time_insensitivity,
     compute_min_stats,
     product_form,
     solve_expanded,
-    solve_traffic,
     structural_violations,
     two_node_deadline_example,
 )
@@ -52,8 +50,7 @@ RHO = np.array([1.0 / Q, 1.0])
 
 
 def test_traffic_solution_closed_form():
-    spec = two_node_deadline_example()
-    sol = solve_traffic(spec)
+    sol = product_form(two_node_deadline_example())
     np.testing.assert_allclose(sol.alpha, ALPHA, atol=1e-12)
     np.testing.assert_allclose(
         sol.alpha,
@@ -68,7 +65,7 @@ def test_traffic_flows_vanish_for_never_achieving_components():
     node = NodeSpec(components=(Exponential(1.0), Infinite()),
                     routing=((0.0,), (0.0,)))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(2.0,))
-    sol = solve_traffic(spec)
+    sol = product_form(spec)
     np.testing.assert_allclose(sol.alpha, [[2.0, 0.0]], atol=1e-12)
 
 
@@ -109,10 +106,8 @@ def test_marginals_are_poisson():
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-3, 0.37, 1.0, 7.5, 40.0])
 def test_marginal_pmf_matches_closed_form(rho):
-    pf = ProductForm(rho=np.array([rho]),
-                     traffic=TrafficSolution(alpha=np.array([[rho]]),
-                                             flows=np.array([rho]),
-                                             residual=0.0))
+    pf = ProductForm(rho=np.array([rho]), alpha=np.array([[rho]]),
+                     flows=np.array([rho]), residual=0.0)
     pmf = pf.marginal_pmf(0)
     reference = np.array([poisson_pmf(x, rho) for x in range(pmf.size)])
     np.testing.assert_allclose(pmf, reference, rtol=1e-12, atol=0.0)
@@ -138,7 +133,7 @@ def test_closed_network_raises_openness_error():
     node = NodeSpec(components=(Exponential(1.0),), routing=((1.0,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     with pytest.raises(OpennessError):
-        solve_traffic(spec)
+        product_form(spec)
 
 
 def _reference_networks():
@@ -155,7 +150,7 @@ def test_vectorised_assembly_equals_loop_reference():
     # those agree bit for bit
     for spec in _reference_networks():
         stats = compute_min_stats(spec)
-        alpha = solve_traffic(spec).alpha
+        alpha = product_form(spec).alpha
         reference = loop_traffic(spec, stats)
         assert (np.abs(alpha - reference).max()
                 <= 1e-12 * np.abs(reference).max())
@@ -163,13 +158,6 @@ def test_vectorised_assembly_equals_loop_reference():
         expanded = solve_expanded(spec)
         assert np.array_equal(expanded.routing, routing)
         assert np.array_equal(expanded.external_rates, external)
-
-
-def test_product_form_keeps_its_traffic_solution():
-    spec = two_node_deadline_example()
-    pf = product_form(spec)
-    assert np.array_equal(pf.traffic.alpha, solve_traffic(spec).alpha)
-    assert pf.traffic.residual == solve_traffic(spec).residual
 
 
 def test_exact_answers_are_kept_on_the_spec_read_only():
@@ -197,7 +185,9 @@ def test_exact_answers_are_kept_on_the_spec_read_only():
         assert np.array_equal(kept, first.rho)
     assert [pmf.tolist() for pmf in pmfs] == [
         pf.marginal_pmf(n).tolist() for n in range(spec.n_nodes)]
-    for array in (pf.rho, pf.traffic.alpha, pf.traffic.flows,
+    assert [field.name for field in fields(pf)] == [
+        "rho", "alpha", "flows", "residual"]
+    for array in (pf.rho, pf.alpha, pf.flows,
                   stats.p, stats.cond_mean, stats.mean_min, svc.node_flows,
                   full_rho, svc_rho, *pmfs):
         with pytest.raises(ValueError, match="read-only"):
@@ -238,7 +228,7 @@ def test_each_spec_object_gets_its_own_answer():
 def test_a_failed_solve_is_not_kept(monkeypatch):
     import deadlinenet.analytic
 
-    calls = count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    calls = count_calls(monkeypatch, deadlinenet.analytic, "_product_form")
     node = NodeSpec(components=(Exponential(1.0),), routing=((1.0,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
     for _ in range(2):
@@ -311,8 +301,8 @@ def _one_exponential(routing, arrival_rates):
 def test_every_exact_entry_point_rejects_an_invalid_spec(spec):
     report = structural_violations(spec)
     assert report
-    for solve in (compute_min_stats, solve_traffic, product_form,
-                  solve_expanded, baseline_full_insensitivity,
+    for solve in (compute_min_stats, product_form, solve_expanded,
+                  baseline_full_insensitivity,
                   baseline_service_time_insensitivity):
         with pytest.raises(InvalidNetworkError) as info:
             solve(spec)
@@ -335,7 +325,7 @@ def test_solve_open_rejects_a_degenerate_system(A, b, message):
 def test_nearly_closed_network_still_solves():
     node = NodeSpec(components=(Exponential(1.0),), routing=((0.999,),))
     spec = NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
-    sol = solve_traffic(spec)
+    sol = product_form(spec)
     assert sol.alpha[0, 0] == pytest.approx(1000.0, rel=1e-9)
 
 
@@ -364,7 +354,7 @@ def test_expanded_network_structure():
 
 def test_expanded_flows_match_traffic_solution():
     spec = two_node_deadline_example()
-    direct = solve_traffic(spec)
+    direct = product_form(spec)
     sol = solve_expanded(spec)
     np.testing.assert_allclose(sol.alpha.reshape(2, 2), direct.alpha,
                                atol=1e-12)

@@ -193,10 +193,10 @@ def test_each_exact_quantity_computed_once_per_command(runner, monkeypatch, comm
     # the solvers and simulate's check all ask for the structural report
     checks = count_calls(monkeypatch, deadlinenet.model, "_structure_report")
     races = count_calls(monkeypatch, deadlinenet.distributions, "_race_stats")
-    traffic_calls = count_calls(monkeypatch, deadlinenet.analytic, "solve_traffic")
+    exact = count_calls(monkeypatch, deadlinenet.analytic, "_product_form")
     solves = count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
     invoke(runner, command, "--format", "json")
-    assert (len(checks), len(races), len(traffic_calls)) == (1, 1, 1)
+    assert (len(checks), len(races), len(exact)) == (1, 1, 1)
     # expand adds the expanded network's solve, compare and baselines the
     # full-insensitivity one; the service-time baseline reuses the flows
     assert len(solves) == {"solve": 1, "expand": 2, "compare": 2,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from deadlinenet import config
 from deadlinenet import (
@@ -329,7 +329,10 @@ def _route_outcome(parse, *args):
         return str(exc)
 
 
-# 150 generated rows, about 0.7 s, and the edge of each check by hand
+# 150 generated rows, about 0.5 s, and the edge of each check by hand; the
+# fixed seed pins the draws: under derandomize alone they are drawn from a
+# digest of this test's source, and any edit to it would redraw them
+@seed(2024)
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_route_rows())
 @example((3, "1: 0.5, 2: 0.25"))

@@ -296,7 +296,7 @@ def test_validate_runs_no_quadrature_or_solve(monkeypatch):
         raise AssertionError("validate must not call the solver stack")
 
     monkeypatch.setattr(deadlinenet.distributions, "compute_min_stats", fail)
-    monkeypatch.setattr(deadlinenet.analytic, "solve_traffic", fail)
+    monkeypatch.setattr(deadlinenet.analytic, "_solve_open", fail)
     assert validate(two_node_deadline_example()) == []
     assert kinds(validate(single_node(Exponential(1.0), loop=1.0))) == [NOT_OPEN]
 
