@@ -6,8 +6,9 @@ statistics, a single-draw inverse-transform sampler, the densities of the atomle
 laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
 for the node-level solve and the vectorised expansion, the box scan of
-the product-form deviation and the total variation over the union of two
-supports as references, samplers and the joint pmf of the exact solution,
+the product-form deviation, the earlier unpruned scan of its rank-neighbour
+candidates and the total variation over the union of two supports as
+references, samplers and the joint pmf of the exact solution,
 random network generators for property checks, the whole-string
 renderer of CLI documents as the reference for the streaming writer, and
 a call counter for the functions the program computes once."""
@@ -29,6 +30,7 @@ from deadlinenet import (
     Uniform,
     Weibull,
     compute_min_stats,
+    empirical_marginal,
     validate,
 )
 from deadlinenet.cli import _CSV_HEADER, _csv_cell, _text_cell
@@ -358,6 +360,74 @@ def box_scan_deviation(result):
         if dev > worst:
             worst = dev
     return worst
+
+
+def candidate_scan_deviation(result):
+    """sup |empirical joint - product of empirical marginals| from the
+    visited states and every one of their rank-neighbour candidates, each
+    product multiplied out in full, node by node: the reference for the
+    pruned search of product_form_deviation where the box is too large to
+    scan."""
+    pmfs = [empirical_marginal(result, n)
+            for n in range(result.joint_states.shape[1])]
+    states, weights = result.joint_states, result.joint_weights
+    n_nodes = len(pmfs)
+    nodes = np.arange(n_nodes)[:, None]
+    size = np.array([len(pmf) for pmf in pmfs])
+    # marginal[n, x]: zero at unvisited occupancies and in the padding past
+    # the largest, which ends every node's rank order
+    marginal = np.zeros((n_nodes, size.max() + 1))
+    for n, pmf in enumerate(pmfs):
+        marginal[n, :len(pmf)] = pmf
+    # stable, so in-range zeros rank before the padding
+    order = np.argsort(-marginal, axis=1, kind="stable")
+    ranked = marginal[nodes, order]
+    # the position in order of the occupancy one rank worse
+    worse = np.empty_like(order)
+    worse[nodes, order] = np.arange(1, order.shape[1] + 1)
+
+    # one column per visited state
+    cells = states.T
+    # the simulator records only states held for a positive time, all
+    # inside the box; a result built by hand may list others
+    inside = (cells < size[:, None]).all(axis=0)
+    if not inside.all():
+        cells, weights = cells[:, inside], weights[inside]
+    product = marginal[0, cells[0]]
+    for n in range(1, n_nodes):
+        product *= marginal[n, cells[n]]
+    worst = float(np.abs(weights / result.effective_duration - product)
+                  .max(initial=0.0))
+
+    # node by node, the products at the cells one rank worse at node n
+    # than a visited state, formed left to right on top of that state's
+    # product over the nodes before n
+    products = [np.cumprod(ranked[:, 0])[-1:]]
+    candidates = [order[:, :1]]
+    for n in range(n_nodes):
+        position = worse[n, cells[n]]
+        product = ranked[n, position]
+        if n:
+            product *= prefix
+        for k in range(n + 1, n_nodes):
+            product *= marginal[k, cells[k]]
+        keep = (product > worst).nonzero()[0]
+        moved = cells[:, keep]
+        moved[n] = order[n, position[keep]]
+        products.append(product[keep])
+        candidates.append(moved)
+        factor = marginal[n, cells[n]]
+        prefix = factor * prefix if n else factor
+    products = np.concatenate(products)
+    cells = np.concatenate(candidates, axis=1).T
+    # a row of non-negative integers, each written as big-endian bytes,
+    # compares bytewise as the rows compare, node 1 first: the order of
+    # the visited states, so membership is one binary search
+    row = f"V{8 * n_nodes}"
+    visited = np.ascontiguousarray(states, ">u8").view(row)[:, 0]
+    queries = np.ascontiguousarray(cells, ">u8").view(row)[:, 0]
+    at = visited.searchsorted(queries).clip(max=len(visited) - 1)
+    return float(products[visited[at] != queries].max(initial=worst))
 
 
 def union_total_variation(p, q):

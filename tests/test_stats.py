@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from deadlinenet import (
 
 from helpers import (
     box_scan_deviation,
+    candidate_scan_deviation,
     count_calls,
     mixed_network,
     poisson_pmf,
@@ -306,6 +308,66 @@ def test_deviation_equals_box_scan_on_sparse_histograms():
     assert outside >= 30
 
 
+def test_deviation_keeps_candidates_within_the_rounding_allowance():
+    # four nodes, each at occupancy 0 with marginal u and at 1 with v. The
+    # supremum is at the unvisited (1, 0, 0, 0), one rank worse than the
+    # visited (0, 0, 0, 0) at node 0: left to right ((v * u) * u) * u =
+    # 0.09345747437500002. Its bound, v times the other factors multiplied
+    # right to left, ((u * u) * u) * v = 0.09345747437499999, is below the
+    # term at the visited (0, 0, 1, 0), held for no time, whose product is
+    # ((u * u) * v) * u = 0.093457474375. The other two visited states are
+    # held for their products. u and v were found by a search over pmfs
+    # with three decimals
+    u, v = 0.635, 0.365
+    joint = {(0, 0, 0, 0): u * u * u * u, (0, 1, 0, 0): u * v * u * u,
+             (0, 0, 1, 0): 0.0}
+    res = fake_result([{0: u, 1: v}] * 4, joint, 1.0, 4)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == v * u * u * u == 0.09345747437500002
+
+
+def test_deviation_keeps_candidates_whose_products_underflow():
+    # every product is below 2**-1022, where only its bits above 2**-1074
+    # are kept, so two orders of rounding can differ by far more than any
+    # relative allowance. The supremum is at the unvisited (1, 0, 0): left
+    # to right (x1 * u) * u = 5e-323, while its bound x1 * (u * u) =
+    # 4.4e-323 equals the term at the visited (0, 0, 0), whose weight
+    # exceeds its product by exactly that. The other two visited states
+    # are held for their products
+    x0, x1, u, v = 2e-322, 1e-322, 0.68, 0.32
+    joint = {(0, 0, 0): x0 * u * u + x1 * (u * u), (0, 1, 0): x0 * v * u,
+             (0, 0, 1): x0 * u * v}
+    res = fake_result([{0: x0, 1: x1}, {0: u, 1: v}, {0: u, 1: v}], joint,
+                      1.0, 3)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == x1 * u * u == 5e-323
+
+
+@pytest.mark.parametrize("n_nodes, horizon, seed",
+                         [(12, 2_000.0, 2), (12, 2_000.0, 5),
+                          (30, 500.0, 3), (30, 500.0, 6)])
+def test_deviation_equals_candidate_scan_past_the_box_scan(n_nodes, horizon,
+                                                           seed):
+    # boxes of 10**6 to 10**16 cells; up to four blocks of visited states
+    spec = mixed_network(np.random.default_rng(seed), n_nodes, 3,
+                         max_total=0.5, rate_range=(0.05, 0.25))
+    res = simulate(spec, SimConfig(seed=seed, horizon=horizon, warmup=100.0))
+    assert product_form_deviation(res) == candidate_scan_deviation(res)
+
+
+def test_deviation_with_no_visited_state_inside_the_box():
+    # a result built by hand whose only joint state lies past the marginals'
+    # occupancies: inside the box the joint is zero, and the supremum is
+    # the all-top-rank cell's product
+    res = fake_result([{0: 60.0, 1: 40.0}, {0: 30.0, 1: 70.0}],
+                      {(5, 5): 100.0}, 100.0)
+    value = product_form_deviation(res)
+    assert value == box_scan_deviation(res)
+    assert value == 0.6 * 0.7
+
+
 def test_deviation_on_70_nodes_scans_no_box():
     # half the time everyone is empty, half the time everyone holds one
     # customer: the box has 2**70 cells
@@ -393,6 +455,28 @@ def test_compare_rejects_a_run_of_another_network(example_run):
         assert str(raised.value) == (
             "the result has 2 node means and 2 marginals; the spec has "
             f"{n_nodes} nodes")
+
+
+@pytest.mark.parametrize("states, weights", [
+    (lambda s: np.hstack([s, s[:, :1]]), lambda w: w),
+    (lambda s: s[:, :1], lambda w: w),
+    (lambda s: s, lambda w: w[:-1]),
+    (lambda s: s[:0], lambda w: w[:0]),
+], ids=["wider", "narrower", "short-weights", "empty"])
+def test_deviation_rejects_a_joint_histogram_of_the_wrong_shape(
+        example_run, states, weights):
+    res = dataclasses.replace(example_run,
+                              joint_states=states(example_run.joint_states),
+                              joint_weights=weights(example_run.joint_weights))
+    message = (
+        f"the joint histogram has states of shape {res.joint_states.shape} "
+        f"and weights of shape {res.joint_weights.shape}; a run of 2 nodes "
+        "needs shapes (J, 2) and (J,), J > 0")
+    for check in (product_form_deviation,
+                  lambda r: compare(two_node_deadline_example(), r)):
+        with pytest.raises(ValueError) as raised:
+            check(res)
+        assert str(raised.value) == message
 
 
 def test_compare_empty_network_all_zero():
