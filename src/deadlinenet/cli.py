@@ -41,8 +41,6 @@ from .errors import (
     QuadratureError,
 )
 from .model import NOT_OPEN
-from .simulate import replicate, simulate
-from .stats import _exact_side, compare as stats_compare
 
 __all__ = [
     "main",
@@ -411,6 +409,8 @@ def _sim_doc(doc: _Doc, scenario: ScenarioConfig, result) -> None:
           sim=True)
 def cmd_simulate(doc: _Doc, scenario: ScenarioConfig, runs: int):
     """Event-driven simulation of the scenario."""
+    from .simulate import replicate, simulate
+
     if runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {runs}")
     if runs == 1:
@@ -438,6 +438,9 @@ def cmd_simulate(doc: _Doc, scenario: ScenarioConfig, runs: int):
 @_command("compare", sim=True)
 def cmd_compare(doc: _Doc, scenario: ScenarioConfig):
     """Simulated vs exact vs baseline occupancies."""
+    from .simulate import simulate
+    from .stats import _exact_side, compare as stats_compare
+
     spec = scenario.network
     # the exact side first, so that a network it cannot answer fails before
     # the run: the distances read each node's whole truncated exact

@@ -35,17 +35,17 @@ rejected.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional, get_args
 
 from .errors import ConfigError, InvalidNetworkError
 from .model import NetworkSpec, NodeSpec, ServiceDistribution, validate
-from .simulate import SimConfig
 
 __all__ = [
+    "SimConfig",
     "OutputOptions",
     "ScenarioConfig",
     "parse_scenario",
@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 OUTPUT_FORMATS = ("table", "csv", "json")
+
+# [sim] generator -> the numpy.random bit generator class the simulator
+# seeds; by name, so that reading a scenario does not load numpy.random
+GENERATORS = {"pcg64": "PCG64", "philox": "Philox"}
 
 _BOOLEAN = {"1": True, "yes": True, "true": True, "on": True,
             "0": False, "no": False, "false": False, "off": False}
@@ -66,6 +70,36 @@ _NOT_SEPARATORS = bytes(range(256)).translate(None, b":,")
 
 # scenario token name -> law class
 _LAWS = {law.name: law for law in get_args(ServiceDistribution)}
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Run parameters. ``warmup`` is discarded; averages cover
+    [warmup, horizon]."""
+
+    seed: int = 36
+    generator_name: str = "pcg64"
+    horizon: float = 10_000.0
+    warmup: float = 1_000.0
+    record_joint: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "warmup", float(self.warmup))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.generator_name not in GENERATORS:
+            raise ValueError(
+                f"unknown generator {self.generator_name!r}; "
+                f"choose from {sorted(GENERATORS)}")
+        if not self.warmup >= 0.0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if not self.horizon > self.warmup:
+            raise ValueError(
+                f"horizon ({self.horizon}) must exceed warmup ({self.warmup})")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -337,4 +371,4 @@ def load_scenario(path) -> ScenarioConfig:
 
 def bundled_scenario_path() -> Path:
     """Path of the packaged two-node deadline-routing scenario."""
-    return Path(resources.files("deadlinenet") / "data" / "two_node_deadline.cfg")
+    return Path(__file__).with_name("data") / "two_node_deadline.cfg"

@@ -40,11 +40,11 @@ from typing import Optional
 
 import numpy as np
 
+from .config import GENERATORS, SimConfig
 from .errors import InvalidNetworkError, QuadratureError
 from .model import Infinite, NetworkSpec, structural_violations
 
 __all__ = [
-    "SimConfig",
     "EventCounts",
     "SimResult",
     "ReplicateSummary",
@@ -52,47 +52,12 @@ __all__ = [
     "replicate",
 ]
 
-GENERATORS = {
-    "pcg64": np.random.PCG64,
-    "philox": np.random.Philox,
-}
-
 # external arrivals per block; it bounds every per-block array to a few
 # thousand entries (tens of kilobytes)
 BLOCK = 1024
 # a joint-state key word holds the digits of consecutive nodes in at most
 # this many bits, so it never overflows int64
 _WORD_BITS = 63
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Run parameters. ``warmup`` is discarded; averages cover
-    [warmup, horizon]."""
-
-    seed: int = 36
-    generator_name: str = "pcg64"
-    horizon: float = 10_000.0
-    warmup: float = 1_000.0
-    record_joint: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "warmup", float(self.warmup))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.generator_name not in GENERATORS:
-            raise ValueError(
-                f"unknown generator {self.generator_name!r}; "
-                f"choose from {sorted(GENERATORS)}")
-        if not self.warmup >= 0.0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if not self.horizon > self.warmup:
-            raise ValueError(
-                f"horizon ({self.horizon}) must exceed warmup ({self.warmup})")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass
@@ -363,6 +328,11 @@ class _Sweep:
         return tuple(marginals), states, weights, tuple(self.occ.tolist())
 
 
+# every overflow in a run is to inf and gives the right draw: a gap, or a sum
+# of gaps, under a tiny arrival rate, a power under a tiny Weibull shape, a
+# service time under a large scale. Set once per run, not per hop, where it
+# would cost a few percent of the run
+@np.errstate(over="ignore")
 def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResult:
     n_nodes = spec.n_nodes
     n_comp = spec.n_components
@@ -409,9 +379,7 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
             if has_tail:
                 tail = -np.log1p(-draws)
                 if has_power:
-                    # a tiny shape overflows to inf: the right draw
-                    with np.errstate(over="ignore"):
-                        tail **= power[node]
+                    tail **= power[node]
                 service += scale[node] * tail
             k = service.argmin(axis=1)
             best = service[np.arange(m), k]
@@ -473,7 +441,8 @@ def _check(spec: NetworkSpec) -> None:
 def simulate(spec: NetworkSpec, cfg: SimConfig = SimConfig()) -> SimResult:
     """Run one simulation. Fully deterministic given (spec, cfg)."""
     _check(spec)
-    rng = np.random.Generator(GENERATORS[cfg.generator_name](cfg.seed))
+    bitgen = getattr(np.random, GENERATORS[cfg.generator_name])
+    rng = np.random.Generator(bitgen(cfg.seed))
     return _run(spec, cfg, rng)
 
 
@@ -498,7 +467,7 @@ def replicate(spec: NetworkSpec, cfg: SimConfig, runs: int) -> ReplicateSummary:
         raise ValueError(f"runs must be >= 1, got {runs}")
     _check(spec)
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
-    bitgen = GENERATORS[cfg.generator_name]
+    bitgen = getattr(np.random, GENERATORS[cfg.generator_name])
     results = [_run(spec, cfg, np.random.Generator(bitgen(child)))
                for child in children]
     per_run = np.vstack([r.means for r in results])

@@ -8,7 +8,7 @@ joint histogram is read as the simulator leaves it, the sorted arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .analytic import (
 )
 from .errors import InfiniteMeanError
 from .model import NetworkSpec, once_per_spec
-from .simulate import SimResult
+
+if TYPE_CHECKING:
+    from .simulate import SimResult
 
 __all__ = [
     "ComparisonReport",

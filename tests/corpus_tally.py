@@ -10,10 +10,13 @@ runs through ``solve``, ``expand``, ``baselines``, ``simulate`` and
 ``compare`` (the last two with ``--horizon 50 --warmup 5``) by click's
 ``CliRunner``. The script prints, per command, the count of each exit code
 and of each exception type that escaped the command, then one SHA-256 over
-the exit code, stdout and stderr of each of the command's 450 runs, in
-corpus order. A change that touches the numerics reports this tally and
-these digests before and after; equal digests mean byte-identical output
-on the whole corpus.
+the corpus texts and one per command over the exit code, stdout and stderr
+of each of the command's 450 runs, all in corpus order. A change that
+touches the numerics reports this tally and these digests before and
+after; equal digests mean byte-identical output on the whole corpus. The
+texts drawn depend on how the script is launched (run as a file and through
+``runpy.run_path`` it draws different ones), so the command digests of two
+runs compare only when their corpus digests are equal.
 """
 
 import hashlib
@@ -81,6 +84,10 @@ def main() -> None:
         print(f"{command}: " + ", ".join(parts))
     if not any(isinstance(k, str) for c in counts.values() for k in c):
         print("no exception escaped")
+    corpus = hashlib.sha256()
+    for text in map(str.encode, texts):
+        corpus.update(len(text).to_bytes(8, "big") + text)
+    print(f"sha256 corpus: {corpus.hexdigest()}")
     for command, digest in digests.items():
         print(f"sha256 {command}: {digest}")
 

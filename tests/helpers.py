@@ -10,17 +10,22 @@ the product-form deviation, the earlier unpruned scan of its rank-neighbour
 candidates and the total variation over the union of two supports as
 references, samplers and the joint pmf of the exact solution,
 random network generators for property checks, the whole-string
-renderer of CLI documents as the reference for the streaming writer, and
-a call counter for the functions the program computes once."""
+renderer of CLI documents as the reference for the streaming writer, a
+call counter for the functions the program computes once, and a runner of
+code in a fresh interpreter on the source tree."""
 
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import deadlinenet
 from deadlinenet import (
     Deterministic,
     Exponential,
@@ -617,3 +622,13 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "deadlinenet" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def run_from_source(code, *args):
+    """``python -c code *args`` with the source tree first on PYTHONPATH,
+    as a source checkout runs the program."""
+    src = str(Path(deadlinenet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)

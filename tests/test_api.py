@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import deadlinenet
+from helpers import run_from_source
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "deadlinenet"
 
@@ -40,6 +41,40 @@ def test_root_exports_exactly_the_module_lists():
     assert inspect.isfunction(deadlinenet.simulate)
     assert deadlinenet.simulate is importlib.import_module(
         "deadlinenet.simulate").simulate
+
+
+def test_root_dir_lists_every_public_name():
+    # a fresh root holds a name only once it is read; dir() lists them all
+    proc = run_from_source(
+        "import deadlinenet\n"
+        "listed = set(dir(deadlinenet))\n"
+        "assert set(deadlinenet.__all__) <= listed, listed")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# ways a fresh process can first load the simulator module: each binds it
+# to the package attribute of the same name, which must stay the function
+IMPORT_ORDERS = {
+    "simulate module": "import deadlinenet.simulate",
+    "stats module": "import deadlinenet.stats",
+    "compare first": "import deadlinenet; deadlinenet.compare",
+    "cli compare": "from deadlinenet.cli import main; main.main(['compare', "
+                   "'--horizon', '100', '--warmup', '10', '--format', 'json'], "
+                   "standalone_mode=False)",
+    "star import": "from deadlinenet import *; assert simulate.__name__ == "
+                   "'simulate', simulate",
+}
+
+
+@pytest.mark.parametrize("order", IMPORT_ORDERS)
+def test_root_simulate_is_the_function_in_any_import_order(order):
+    proc = run_from_source(
+        IMPORT_ORDERS[order] + "\n"
+        "import inspect, sys, deadlinenet\n"
+        "found = deadlinenet.simulate\n"
+        "assert inspect.isfunction(found), found\n"
+        "assert found is sys.modules['deadlinenet.simulate'].simulate, found")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_exact_solvers_take_only_the_spec():

@@ -1,10 +1,8 @@
+import importlib
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from deadlinenet.cli import (
 )
 from deadlinenet.config import bundled_scenario_path
 
-from helpers import count_calls, scenario_texts
+from helpers import count_calls, run_from_source, scenario_texts
 
 FAST = ["--horizon", "2000", "--warmup", "200"]
 
@@ -328,7 +326,10 @@ def test_compare_checks_the_exact_side_before_the_run(runner, tmp_path,
     def no_run(*args, **kwargs):
         raise AssertionError("simulated before the exact side was checked")
 
-    monkeypatch.setattr("deadlinenet.cli.simulate", no_run)
+    # cmd_compare imports the simulator when it runs; the package attribute
+    # deadlinenet.simulate is the function, so patch it in its module
+    monkeypatch.setattr(importlib.import_module("deadlinenet.simulate"),
+                        "simulate", no_run)
     cfg = write_config(tmp_path, WIDE)
     result = runner.invoke(main, ["compare", "--config", cfg,
                                   "--horizon", "100", "--warmup", "10"])
@@ -513,16 +514,6 @@ def test_parse_csv_tables_rejects_foreign_text():
             parse_csv_tables(text)
 
 
-def run_from_source(code, *args):
-    """``python -c code *args`` with the source tree first on PYTHONPATH,
-    as a source checkout runs the program."""
-    src = str(Path(deadlinenet.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_version_from_a_source_checkout():
     proc = run_from_source(
         "import sys; from deadlinenet.cli import main; sys.exit(main())",
@@ -556,3 +547,64 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc.check_returncode()
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_commands_load_no_simulator():
+    # a cold exact command imports only what its answer needs: the
+    # simulator, the comparison and numpy.random are for simulate and compare
+    proc = run_from_source(
+        "import sys; from deadlinenet.cli import main\n"
+        "for command in ('solve', 'expand', 'baselines'):\n"
+        "    main.main([command, '--format', 'json'], standalone_mode=False)\n"
+        "print(sorted(m for m in ('numpy.random', 'deadlinenet.simulate',\n"
+        "                         'deadlinenet.stats') if m in sys.modules))")
+    proc.check_returncode()
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_cold_simulating_commands_exit_0(command):
+    proc = run_from_source(
+        "import sys; from deadlinenet.cli import main; sys.exit(main())",
+        command, *FAST, "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["kind"] == command
+
+
+# an arrival rate so small that an exponential gap overflows to inf (and,
+# under seed 2, so does a sum of two finite gaps), and a Weibull scale
+# times a tail so large that a service time does: these are the right
+# draws, and the run reports them without a numpy warning
+OVERFLOWING_DRAWS = {
+    "gap": """\
+        [network]
+        nodes = 1
+        components = 2
+        arrivals = 1.1125369292536007e-308
+        node1.components = exp(rate=1.0), exp(rate=0.7132878255950256)
+        """,
+    "service": """\
+        [network]
+        nodes = 1
+        components = 2
+        arrivals = 2.6401755470737642
+        node1.components = uniform(0.03230312607263904, 1.000000137244776), weibull(0.0014193086604881132, 3.0011669937682925)
+        node1.route2 = 1: 0.6476599929349097
+        """,
+}
+
+
+@pytest.mark.parametrize("draw, seed", [("gap", 36), ("gap", 2),
+                                        ("service", 36)])
+def test_simulate_overflowing_draw_writes_no_warning(runner, tmp_path, draw,
+                                                     seed):
+    cfg = write_config(tmp_path, OVERFLOWING_DRAWS[draw])
+    with warnings.catch_warnings(record=True) as caught:
+        # a plain interpreter prints each of these to stderr
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["simulate", "--config", cfg,
+                                      "--seed", str(seed),
+                                      "--horizon", "50", "--warmup", "5"])
+    assert [str(w.message) for w in caught] == []
+    assert (result.exit_code, result.stderr) == (0, "")
