@@ -7,12 +7,14 @@ is routed by the row belonging to the component that achieved the minimum.
 External arrivals are generated in blocks of ``BLOCK`` customers, and the
 customers of a block are advanced together one hop at a time in numpy until
 all have left; a customer whose departure falls after the horizon stops
-there. Each visit adds a +1 event at entry and, unless it outlasts the
-horizon, a -1 event at exit. A block's events are swept in time order
-together with those carried over from earlier blocks; events after the
-block's last arrival are carried forward again, since later blocks may still
-add events before them. The sweep accumulates time-weighted occupancy inside
-the measurement window [warmup, horizon].
+there. Each external arrival, and each visit that ends by the horizon, is
+recorded as one move at its instant: from the outside or the visit's
+(node, winner) row, to the entry node, the next node or the exit. A block's
+moves are swept in time order together with those carried over from
+earlier blocks; moves after the block's last arrival are carried forward
+again, since later blocks may still add moves before them. The sweep
+accumulates time-weighted occupancy inside the measurement window
+[warmup, horizon], and the event counts are tallied from the swept moves.
 
 Determinism contract (given identical spec and config):
   * one uniform stream drives everything, consumed block by block. A block
@@ -29,7 +31,9 @@ Determinism contract (given identical spec and config):
   * a tied minimum goes to the lowest component index, and ``ties`` counts
     the visits whose minimum was reached by more than one finite component;
   * replicate() derives the stream of run r from
-    numpy.random.SeedSequence(seed).spawn(runs)[r].
+    numpy.random.SeedSequence(seed).spawn(runs)[r];
+  * the uniforms are drawn from the generator in chunks and served in
+    order, which does not change which uniform feeds which draw.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ BLOCK = 1024
 # a joint-state key word holds the digits of consecutive nodes in at most
 # this many bits, so it never overflows int64
 _WORD_BITS = 63
+# uniforms drawn at a time; the buffer holds at most this many, or one
+# request's worth when that is larger
+_CHUNK = 8192
 
 
 @dataclass
@@ -126,36 +133,77 @@ def _route_tables(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, targets
 
 
+class _Uniforms:
+    """The generator's uniforms, served in order from a buffer refilled
+    ``_CHUNK`` at a time. For PCG64 and Philox, random(a) followed by
+    random(b) gives the same doubles as random(a + b), so each uniform
+    feeds the same draw as when drawn on its own."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.buffer = np.zeros(0)
+        self.used = 0
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, valid until the next call."""
+        end = self.used + n
+        if end > self.buffer.size:
+            rest = self.buffer[self.used:]
+            self.buffer = np.concatenate(
+                (rest, self.rng.random(max(n, _CHUNK) - rest.size)))
+            self.used, end = 0, n
+        start, self.used = self.used, end
+        return self.buffer[start:end]
+
+
 class _Sweep:
-    """Time-weighted occupancy histogram fed with +1/-1 events block by
+    """Time-weighted occupancy histogram fed with customer moves block by
     block.
 
-    Events are swept in time order up to each block's cutoff. With the joint
-    histogram, a state is a row of int64 words: the nodes' occupancies are
-    mixed-radix digits, node 1 first, packed into words of at most
-    ``_WORD_BITS`` bits, so the lexicographic order of the rows is the
-    tuple order of the states, for any number of nodes. Each node's radix
-    is a power of two above the largest occupancy observed so far; when a
-    node outgrows it, the recorded states are re-encoded with a wider
-    digit. Without the joint histogram, each node's occupancy is constant
-    between its own events, and the key is node * 2**32 + occupancy.
-    Either way the weights of all intervals swept so far are held as one
-    sorted array of distinct keys and their summed weights.
+    A move is one customer leaving row r (node r // K, or the outside for
+    r = N*K) for node o (or the exit, o = N) at one instant: an external
+    arrival, or the end of a visit and the start of the next. Moves are
+    swept in time order up to each block's cutoff. A customer's moves at
+    one instant must keep the order in which they were recorded, or a
+    zero-length visit would end before it starts, so a flush whose times
+    tie is sorted again, stably. The event counts are bincounts of the
+    swept moves' targets and rows.
+
+    With the joint histogram, a state is a row of int64 words: the nodes'
+    occupancies are mixed-radix digits, node 1 first, packed into words of
+    at most ``_WORD_BITS`` bits, so the lexicographic order of the rows is
+    the tuple order of the states, for any number of nodes. Each node's
+    radix is a power of two above the largest occupancy observed so far.
+    A move into node o from another node overflows o's digit exactly when
+    that digit equals its mask before the move; only then are the flush's
+    per-node maxima found, the digits widened and the recorded states
+    re-encoded, and the flush's keys built once more. Without the joint
+    histogram, each move is a -1 event at its node and a +1 event at its
+    target, each node's occupancy is constant between its own events, and
+    the key is node * 2**32 + occupancy. Either way the weights of all
+    intervals swept so far are held as one sorted array of distinct keys
+    and their summed weights.
     """
 
-    def __init__(self, n_nodes: int, cfg: SimConfig):
+    def __init__(self, n_nodes: int, n_comp: int, cfg: SimConfig):
         self.n_nodes = n_nodes
         self.warmup = cfg.warmup
         self.horizon = cfg.horizon
         self.joint = cfg.record_joint
-        self.occ = np.zeros(n_nodes, dtype=np.int64)  # after the last event
-        self.time = 0.0                               # of the last event
+        # each row's node; the outside row N*K is node N
+        self.row_node = np.arange(n_nodes * n_comp + 1) // n_comp
+        self.occ = np.zeros(n_nodes, dtype=np.int64)  # after the last move
+        self.time = 0.0                               # of the last move
         self.node_time = np.zeros(n_nodes)    # of each node's last event
-        # (times, nodes, sign) of the events recorded since the last flush
+        # moves into each node or the exit, and out of each row or the
+        # outside, over the swept moves
+        self.arrivals = np.zeros(n_nodes + 1, dtype=np.int64)
+        self.departures = np.zeros(n_nodes * n_comp + 1, dtype=np.int64)
+        # (times, rows, targets) of the moves recorded since the last flush
         self.batch: list = []
-        # (times, nodes, signs) of the events carried to the next flush
+        # (times, rows, targets) of the moves carried to the next flush
         self.pending = (np.zeros(0), np.zeros(0, dtype=np.intp),
-                        np.zeros(0, dtype=np.int8))
+                        np.zeros(0, dtype=np.intp))
         self.n_words = 1
         if self.joint:
             self._layout(np.ones(n_nodes, dtype=np.int64))
@@ -166,31 +214,33 @@ class _Sweep:
 
     def _layout(self, bits: np.ndarray) -> None:
         """Pack digits of the given widths into words, node 1 most
-        significant."""
-        word = np.zeros(self.n_nodes, dtype=np.intp)
+        significant. Each table has one more entry, for the outside and
+        the exit: stride 0, and a mask that no digit equals."""
+        word = np.zeros(self.n_nodes + 1, dtype=np.intp)
         used = 0
         for n, b in enumerate(bits.tolist()):
             if used + b > _WORD_BITS:
-                word[n:] += 1
+                word[n:-1] += 1
                 used = 0
             used += b
-        shift = np.zeros(self.n_nodes, dtype=np.int64)
+        shift = np.zeros(self.n_nodes + 1, dtype=np.int64)
         for n in range(self.n_nodes - 2, -1, -1):
             if word[n] == word[n + 1]:
                 shift[n] = shift[n + 1] + bits[n + 1]
         self.bits = bits
         self.word = word
         self.shift = shift
-        self.stride = np.left_shift(1, shift)
-        self.mask = np.left_shift(1, bits) - 1
-        self.n_words = int(word[-1]) + 1
+        self.stride = np.append(np.left_shift(1, shift[:-1]), 0)
+        self.mask = np.append(np.left_shift(1, bits) - 1, -1)
+        self.n_words = int(word[self.n_nodes - 1]) + 1
 
     def _encode(self, digits: np.ndarray) -> np.ndarray:
         """(..., N) occupancies -> (..., words) keys."""
         keys = np.zeros(digits.shape[:-1] + (self.n_words,), dtype=np.int64)
+        word, shift = self.word[:-1], self.shift[:-1]
         for w in range(self.n_words):
-            mine = self.word == w
-            keys[..., w] = (digits[..., mine] << self.shift[mine]).sum(axis=-1)
+            mine = word == w
+            keys[..., w] = (digits[..., mine] << shift[mine]).sum(axis=-1)
         return keys
 
     def _digit(self, keys: np.ndarray, n) -> np.ndarray:
@@ -208,74 +258,123 @@ class _Sweep:
             self._layout(bits)
             self.keys = self._encode(digits)
 
+    def _walk(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The joint key before each move, (moves, words)."""
+        if self.n_words == 1:
+            delta = (self.stride[dst] - self.stride[src])[:, None]
+        else:
+            delta = np.zeros((src.size, self.n_words), dtype=np.int64)
+            each = np.arange(src.size)
+            delta[each, self.word[dst]] = self.stride[dst]
+            delta[each, self.word[src]] -= self.stride[src]
+        before = np.cumsum(delta, axis=0)
+        before -= delta
+        before += self._encode(self.occ)
+        return before
+
+    def _overflows(self, before: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray) -> bool:
+        """Whether a move into a node from another finds the node's digit
+        at its mask: the first such move carries into the next digit."""
+        if self.n_words == 1:
+            keys = before[:, 0]
+        else:
+            keys = before[np.arange(dst.size), self.word[dst]]
+        mask = self.mask[dst]
+        full = ((keys >> self.shift[dst]) & mask) == mask
+        return bool((src[full] != dst[full]).any())
+
     # -- sweep ---------------------------------------------------------------
 
-    def visit(self, nodes: np.ndarray, enter: np.ndarray, leave: np.ndarray,
-              done: np.ndarray) -> None:
-        """Record one hop's visits: +1 at entry, and -1 at exit for the
-        visits ``done`` by the horizon."""
-        self.batch.append((enter, nodes, 1))
-        self.batch.append((leave[done], nodes[done], -1))
+    def move(self, times: np.ndarray, rows: np.ndarray,
+             targets: np.ndarray) -> None:
+        """Record moves: at ``times``, from ``rows`` to ``targets``."""
+        self.batch.append((times, rows, targets))
 
     def flush(self, cutoff: float) -> None:
-        """Sweep every recorded event before ``cutoff`` and carry the rest,
+        """Sweep every recorded move before ``cutoff`` and carry the rest,
         which later blocks may still precede."""
         batch, self.batch = self.batch, []
-        t = np.concatenate([self.pending[0]] + [b[0] for b in batch])
-        n = np.concatenate([self.pending[1]] + [b[1] for b in batch])
-        s = np.concatenate([self.pending[2]] + [
-            np.full(b[0].size, b[2], dtype=np.int8) for b in batch])
+        t, r, o = (np.concatenate([self.pending[i]] + [b[i] for b in batch])
+                   for i in range(3))
         del batch
-        # events at equal times bound only zero-width intervals, so their
-        # order does not matter
         order = np.argsort(t)
-        t, n, s = t[order], n[order], s[order]
-        del order
-        cut = int(np.searchsorted(t, cutoff))
-        self.pending = (t[cut:].copy(), n[cut:].copy(), s[cut:].copy())
+        ts = t[order]
+        if (ts[1:] == ts[:-1]).any():
+            # the concatenation holds each customer's moves in its own
+            # order (carried moves first, then the block's arrivals and
+            # each hop's moves), which a stable sort keeps at equal times
+            order = np.argsort(t, kind="stable")
+            ts = t[order]
+        r, o = r[order], o[order]
+        del order, t
+        cut = int(np.searchsorted(ts, cutoff))
+        self.pending = (ts[cut:].copy(), r[cut:].copy(), o[cut:].copy())
         if cut:
-            self._sweep(t[:cut], n[:cut], s[:cut])
+            self._sweep(ts[:cut], r[:cut], o[:cut])
 
-    def _sweep(self, t: np.ndarray, n: np.ndarray, s: np.ndarray) -> None:
-        # each event's node occupancy just after it, from a running sum of
-        # the signs grouped by node (time order kept within a node)
-        by = n * t.size
-        by += np.arange(t.size)
-        by = by.argsort()
-        nb, sb = n[by], s[by]
-        count = np.bincount(nb, minlength=self.n_nodes)
+    def _by_node(self, src: np.ndarray, dst: np.ndarray):
+        """The moves as a -1 event at their node and then a +1 event at
+        their target, grouped by node with time order kept within a node,
+        the outside's and the exit's left out: (event index into the
+        interleaved pairs, node, sign, occupancy just after, count per
+        node, nodes seen, index of each seen node's first event)."""
+        n_nodes = self.n_nodes
+        n = np.empty(2 * src.size, dtype=src.dtype)
+        n[0::2] = src
+        n[1::2] = dst
+        if n_nodes < 65536:
+            by = np.argsort(n.astype(np.uint16), kind="stable")
+        else:
+            by = n * n.size
+            by += np.arange(n.size)
+            by = by.argsort()
+        count = np.bincount(n, minlength=n_nodes + 1)
+        # node N, the outside and the exit, sorts last
+        by = by[:by.size - count[n_nodes]]
+        count = count[:n_nodes]
+        nb = n[by]
+        sb = (by & 1) * 2 - 1
         seen = np.flatnonzero(count)
         first = (np.cumsum(count) - count)[seen]
-        last = first + count[seen] - 1
         after = np.cumsum(sb)
         after -= np.repeat(after[first] - sb[first], count[seen])
         after += self.occ[nb]
+        return by, nb, sb, after, count, seen, first
+
+    def _sweep(self, t: np.ndarray, r: np.ndarray, o: np.ndarray) -> None:
+        n_nodes = self.n_nodes
+        into = np.bincount(o, minlength=n_nodes + 1)
+        out = np.bincount(r, minlength=self.departures.size)
+        self.arrivals += into
+        self.departures += out
+        src = self.row_node[r]
         if self.joint:
-            self._fit(seen, np.maximum.reduceat(after, first))
-            final = after[last]
-            del by, nb, sb, after
-            # the interval ending at event i holds the state before it
-            delta = np.zeros((t.size, self.n_words), dtype=np.int64)
-            delta[np.arange(t.size), self.word[n]] = s * self.stride[n]
-            before = np.cumsum(delta, axis=0)
-            before -= delta
-            del delta
-            before += self._encode(self.occ)
+            before = self._walk(src, o)
+            if self._overflows(before, src, o):
+                _, _, _, after, _, seen, first = self._by_node(src, o)
+                self._fit(seen, np.maximum.reduceat(after, first))
+                del after
+                before = self._walk(src, o)
+            # the interval ending at move i holds the state before it
             starts = np.concatenate(([self.time], t[:-1]))
             self._accumulate(before, starts, t)
             self.time = t[-1]
         else:
-            final = after[last]
-            tb = t[by]
-            starts = np.empty(t.size)
+            by, nb, sb, after, count, seen, first = self._by_node(src, o)
+            last = first + count[seen] - 1
+            tb = t[by >> 1]
+            del by
+            starts = np.empty(tb.size)
             starts[1:] = tb[:-1]
             starts[first] = self.node_time[seen]
             after -= sb
             after |= nb << 32
-            del by, sb
+            del sb
             self._accumulate(after, starts, tb)
             self.node_time[seen] = tb[last]
-        self.occ[seen] = final
+        self.occ += into[:n_nodes]
+        self.occ -= out[:-1].reshape(n_nodes, -1).sum(axis=1)
 
     def _accumulate(self, keys: np.ndarray, starts: np.ndarray,
                     ends: np.ndarray) -> None:
@@ -298,7 +397,7 @@ class _Sweep:
         self.keys = keys[new]
 
     def finish(self):
-        """Sweep the carried events and close every interval at the horizon;
+        """Sweep the carried moves and close every interval at the horizon;
         returns (marginal weights, joint states or None, joint weights or
         None, final occupancy)."""
         self.flush(math.inf)
@@ -348,15 +447,15 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
         entry_cdf = np.cumsum(lam) / total
         entry_cdf[np.flatnonzero(lam)[-1]:] = 1.0
     horizon = cfg.horizon
+    outside = np.full(BLOCK, n_nodes * n_comp)
 
     external = np.zeros(n_nodes, dtype=np.int64)
-    arrivals = np.zeros(n_nodes, dtype=np.int64)
-    departures = np.zeros(n_nodes * n_comp, dtype=np.int64)
     ties = 0
-    sweep = _Sweep(n_nodes, cfg)
+    uniforms = _Uniforms(rng)
+    sweep = _Sweep(n_nodes, n_comp, cfg)
     clock = 0.0
     while total > 0.0 and clock <= horizon:
-        u = rng.random((2, BLOCK))
+        u = uniforms.take(2 * BLOCK).reshape(2, BLOCK)
         gaps = -np.log1p(-u[0]) / total
         gaps[0] += clock
         t = np.cumsum(gaps)
@@ -366,21 +465,24 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
             inside = t <= horizon
             t, node = t[inside], node[inside]
         external += np.bincount(node, minlength=n_nodes)
+        sweep.move(t, outside[:t.size], node)
 
         while t.size:
             m = t.size
-            random = drawn[node]
+            random = drawn.take(node, axis=0)
+            n_draws = int(np.count_nonzero(random))
+            u = uniforms.take(n_draws + m)
             draws = np.zeros((m, n_comp))
-            draws[random] = rng.random(int(np.count_nonzero(random)))
-            route = rng.random(m)
-            service = shift[node]
+            draws[random] = u[:n_draws]
+            route = u[n_draws:]
+            service = shift.take(node, axis=0)
             if has_span:
-                service += span[node] * draws
+                service += span.take(node, axis=0) * draws
             if has_tail:
                 tail = -np.log1p(-draws)
                 if has_power:
-                    tail **= power[node]
-                service += scale[node] * tail
+                    tail **= power.take(node, axis=0)
+                service += scale.take(node, axis=0) * tail
             k = service.argmin(axis=1)
             best = service[np.arange(m), k]
             level = service == best[:, None]
@@ -388,14 +490,14 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
                 ties += int(np.count_nonzero(level.sum(axis=1) > 1))
             exit_time = t + best
             done = exit_time <= horizon
-            row = node * n_comp + k
-            arrivals += np.bincount(node, minlength=n_nodes)
-            departures += np.bincount(row[done], minlength=n_nodes * n_comp)
-            sweep.visit(node, t, exit_time, done)
-            step = (thresholds[row] <= route[:, None]).sum(axis=1)
+            t = exit_time[done]
+            row = node[done] * n_comp + k[done]
+            step = thresholds.take(row, axis=0) <= route[done, None]
+            step = step.sum(axis=1)
             node = targets[row, step]
-            stay = done & (node < n_nodes)
-            t, node = exit_time[stay], node[stay]
+            sweep.move(t, row, node)
+            stay = node < n_nodes
+            t, node = t[stay], node[stay]
         sweep.flush(clock)
 
     marginals, states, weights, final = sweep.finish()
@@ -406,8 +508,8 @@ def _run(spec: NetworkSpec, cfg: SimConfig, rng: np.random.Generator) -> SimResu
     ])
     counts = EventCounts(
         external=external,
-        arrivals=arrivals,
-        departures=departures.reshape(n_nodes, n_comp),
+        arrivals=sweep.arrivals[:n_nodes],
+        departures=sweep.departures[:-1].reshape(n_nodes, n_comp),
     )
     return SimResult(
         marginal_weights=marginals,

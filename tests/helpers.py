@@ -9,10 +9,10 @@ for the node-level solve and the vectorised expansion, the box scan of
 the product-form deviation, the earlier unpruned scan of its rank-neighbour
 candidates and the total variation over the union of two supports as
 references, samplers and the joint pmf of the exact solution,
-random network generators for property checks, the whole-string
-renderer of CLI documents as the reference for the streaming writer, a
-call counter for the functions the program computes once, and a runner of
-code in a fresh interpreter on the source tree."""
+random network generators for property checks, a change of time unit,
+the whole-string renderer of CLI documents as the reference for the
+streaming writer, a call counter for the functions the program computes
+once, and a runner of code in a fresh interpreter on the source tree."""
 
 import itertools
 import json
@@ -547,6 +547,27 @@ def mixed_network(rng, n_nodes, n_comp, max_total=0.85,
     spec = NetworkSpec(nodes=tuple(nodes), arrival_rates=rates)
     assert validate(spec) == []
     return spec
+
+
+def rescale_spec(spec, c):
+    """The network with every time multiplied by ``c``: rates divided by
+    c; deterministic values, uniform bounds and Weibull scales multiplied
+    by c."""
+    def law(d):
+        if isinstance(d, Exponential):
+            return Exponential(d.rate / c)
+        if isinstance(d, Deterministic):
+            return Deterministic(d.value * c)
+        if isinstance(d, Uniform):
+            return Uniform(d.lo * c, d.hi * c)
+        if isinstance(d, Weibull):
+            return Weibull(d.shape, d.scale * c)
+        return d
+
+    nodes = tuple(NodeSpec(components=tuple(law(d) for d in node.components),
+                           routing=node.routing) for node in spec.nodes)
+    return NetworkSpec(nodes=nodes,
+                       arrival_rates=tuple(r / c for r in spec.arrival_rates))
 
 
 def decimal_closed_network():

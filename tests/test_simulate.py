@@ -24,10 +24,12 @@ from deadlinenet import (
 from deadlinenet.simulate import _route_tables
 
 from helpers import (
+    mixed_network,
     poisson_pmf,
     random_general_network,
     random_signed_zero_network,
     reference_route_tables,
+    rescale_spec,
 )
 
 CFG = SimConfig(seed=7, horizon=3_000.0, warmup=300.0)
@@ -277,6 +279,63 @@ def test_joint_of_a_long_chain_needs_several_key_words():
         for n, x in enumerate(state):
             derived[n][x] = derived[n].get(x, 0.0) + w
     assert derived == list(res.marginal_weights)
+
+
+def _zero_length_race():
+    # a Weibull of shape 0.001 draws exactly 0, a time absorbed by the
+    # entry time, or one past any horizon: about 63% of visits last no
+    # time and retry at once through the self-loop row, so a customer
+    # makes several moves at one instant
+    node = NodeSpec(components=(Exponential(1.0), Weibull(0.001, 1.0)),
+                    routing=((0.0,), (1.0,)))
+    return NetworkSpec(nodes=(node,), arrival_rates=(1.0,))
+
+
+@pytest.mark.parametrize("spec, cfg", [
+    (_zero_length_race(), SimConfig(seed=2, horizon=300.0, warmup=30.0)),
+    # node 1's deadline row is a self-loop
+    (two_node_deadline_example(),
+     SimConfig(seed=9, horizon=2_000.0, warmup=200.0)),
+], ids=["zero-length-visits", "bundled"])
+def test_moves_at_equal_times_keep_every_state_valid(spec, cfg):
+    res, _ = assert_same_trajectories(spec, cfg)
+    states, weights = res.joint_states, res.joint_weights
+    assert (states >= 0).all()
+    assert weights.sum() == pytest.approx(cfg.horizon - cfg.warmup, rel=1e-12)
+    derived = [{} for _ in range(spec.n_nodes)]
+    for state, w in zip(states.tolist(), weights.tolist()):
+        for n, x in enumerate(state):
+            derived[n][x] = derived[n].get(x, 0.0) + w
+    assert derived == list(res.marginal_weights)
+
+
+@pytest.mark.parametrize("k", [-7, 5, 20])
+def test_power_of_two_time_rescaling_is_exact(k):
+    c = 2.0 ** k
+    cases = [
+        (two_node_deadline_example(),
+         SimConfig(seed=3, horizon=2_000.0, warmup=200.0)),
+        (mixed_network(np.random.default_rng(8), 8, 3),
+         SimConfig(seed=8, horizon=200.0, warmup=20.0)),
+    ]
+    for spec, cfg in cases:
+        scaled = rescale_spec(spec, c)
+        for joint in (True, False):
+            cfg = dataclasses.replace(cfg, record_joint=joint)
+            a = simulate(spec, cfg)
+            b = simulate(scaled, dataclasses.replace(
+                cfg, horizon=cfg.horizon * c, warmup=cfg.warmup * c))
+            assert np.array_equal(a.means, b.means)
+            for name in ("external", "arrivals", "departures"):
+                assert np.array_equal(getattr(a.event_counts, name),
+                                      getattr(b.event_counts, name))
+            assert a.ties == b.ties
+            assert a.final_occupancy == b.final_occupancy
+            assert b.marginal_weights == tuple(
+                {x: w * c for x, w in m.items()} for m in a.marginal_weights)
+            if joint:
+                assert np.array_equal(a.joint_states, b.joint_states)
+                assert np.array_equal(a.joint_weights * c, b.joint_weights)
 
 
 def test_replicate_single_run_is_pooled():
