@@ -237,8 +237,9 @@ class BaselineResult:
 
 def _component_rates(spec: NetworkSpec) -> np.ndarray:
     """Reciprocal means per (node, component) of a structurally valid
-    spec; a component whose mean is not finite (an Infinite one, or a
-    heavy-tailed law) is a contract violation for the baseline methods."""
+    spec, read-only; a component whose mean is not finite (an Infinite
+    one, or a heavy-tailed law) is a contract violation for the baseline
+    methods. Both baselines read it through :func:`model.once_per_spec`."""
     report = structural_violations(spec)
     if report:
         raise InvalidNetworkError(report)
@@ -251,13 +252,14 @@ def _component_rates(spec: NetworkSpec) -> np.ndarray:
                     f"baseline methods need finite means; component "
                     f"{k + 1} of node {n + 1} is infinite")
             rates[n, k] = 1.0 / mean
+    rates.flags.writeable = False
     return rates
 
 
 def baseline_full_insensitivity(spec: NetworkSpec) -> BaselineResult:
     """Pretend every component is exponential with its mean preserved: node
     rate sum of reciprocal means, routing mixed by rate share."""
-    rates = _component_rates(spec)
+    rates = once_per_spec(spec, _component_rates)
     node_rates = rates.sum(axis=1)
     flows, _ = _solve_node_flows(spec, rates / node_rates[:, None],
                                  "full_insensitivity flow equations")
@@ -270,7 +272,7 @@ def baseline_service_time_insensitivity(spec: NetworkSpec) -> BaselineResult:
     use the summed reciprocal means as each node's service rate. That
     routing mix is the exact one, so the node flows are the read-only
     ``flows`` of :func:`product_form`."""
-    node_rates = _component_rates(spec).sum(axis=1)
+    node_rates = once_per_spec(spec, _component_rates).sum(axis=1)
     flows = product_form(spec).flows
     return BaselineResult(method="service_time_insensitivity",
                           rho=flows / node_rates,

@@ -1,4 +1,4 @@
-"""Scenario files: parse, validate, and render round-trippable configs.
+"""Scenario files: parse and validate configs, and the bundled scenario.
 
 A scenario is an INI-style file with three sections::
 
@@ -51,6 +51,7 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "bundled_scenario_path",
+    "two_node_deadline_example",
 ]
 
 OUTPUT_FORMATS = ("table", "csv", "json")
@@ -372,3 +373,13 @@ def load_scenario(path) -> ScenarioConfig:
 def bundled_scenario_path() -> Path:
     """Path of the packaged two-node deadline-routing scenario."""
     return Path(__file__).with_name("data") / "two_node_deadline.cfg"
+
+
+def two_node_deadline_example() -> NetworkSpec:
+    """The network of the bundled scenario, read from its file: two stages
+    in sequence (e.g. sign-in, then payment), each racing a unit-rate
+    exponential task against a unit deterministic deadline. Completing
+    stage 1's task moves the customer to stage 2, completing stage 2's
+    exits, and missing either deadline restarts the customer at stage 1,
+    where external arrivals (rate 1) enter. Each call returns a new spec."""
+    return load_scenario(bundled_scenario_path()).network

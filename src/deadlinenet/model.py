@@ -29,7 +29,6 @@ __all__ = [
     "Violation",
     "structural_violations",
     "validate",
-    "two_node_deadline_example",
 ]
 
 
@@ -52,7 +51,8 @@ class _Law:
     - ``sampling_row()``, the coefficients (shift, span, scale, power) of
       its inverse transform shift + span * u + scale * (-log(1 - u)) **
       power of a uniform u;
-    - ``name`` and ``token()``, its scenario token.
+    - ``name`` and ``params()``, the name and parameters of its scenario
+      token.
     """
 
     name: ClassVar[str]
@@ -61,15 +61,6 @@ class _Law:
     def params(cls) -> tuple[str, ...]:
         """Parameter names of the scenario token, in positional order."""
         return tuple(f.name for f in fields(cls))
-
-    def token(self) -> str:
-        """Canonical scenario token: a law with one parameter names it, a
-        law with several lists them in order, and one with none is bare."""
-        names = self.params()
-        values = [repr(getattr(self, p)) for p in names]
-        if len(names) == 1:
-            values = [f"{names[0]}={values[0]}"]
-        return f"{self.name}({', '.join(values)})" if names else self.name
 
     def quadrature_row(self) -> tuple[float, float, float, float, float]:
         """(shape, scale, lo, hi, 1 / (hi - lo)): the race integrands'
@@ -483,16 +474,3 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             "components that can win reaches a routing row summing to < 1"))
     return report
 
-
-def two_node_deadline_example() -> NetworkSpec:
-    """Two stages in sequence (e.g. sign-in, then payment), each racing a
-    unit-rate exponential task against a unit deterministic deadline.
-
-    Completing stage 1's task moves the customer to stage 2; completing
-    stage 2's task exits the system; missing either deadline restarts the
-    customer at stage 1. External arrivals (rate 1) enter at stage 1.
-    """
-    stage = (Exponential(1.0), Deterministic(1.0))
-    node1 = NodeSpec(components=stage, routing=((0.0, 1.0), (1.0, 0.0)))
-    node2 = NodeSpec(components=stage, routing=((0.0, 0.0), (1.0, 0.0)))
-    return NetworkSpec(nodes=(node1, node2), arrival_rates=(1.0, 0.0))

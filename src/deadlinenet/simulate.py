@@ -180,7 +180,10 @@ class _Sweep:
     re-encoded, and the flush's keys built once more. Without the joint
     histogram, each move is a -1 event at its node and a +1 event at its
     target, each node's occupancy is constant between its own events, and
-    the key is node * 2**32 + occupancy. Either way the weights of all
+    the key is node * 2**32 + occupancy. Both that path and the overflow
+    fallback group the events by node with one stable sort of their node
+    ids, cast to the narrowest unsigned type that holds N: a radix sort
+    for up to 65,535 nodes. Either way the weights of all
     intervals swept so far are held as one sorted array of distinct keys
     and their summed weights.
     """
@@ -323,12 +326,7 @@ class _Sweep:
         n = np.empty(2 * src.size, dtype=src.dtype)
         n[0::2] = src
         n[1::2] = dst
-        if n_nodes < 65536:
-            by = np.argsort(n.astype(np.uint16), kind="stable")
-        else:
-            by = n * n.size
-            by += np.arange(n.size)
-            by = by.argsort()
+        by = np.argsort(n.astype(np.min_scalar_type(n_nodes)), kind="stable")
         count = np.bincount(n, minlength=n_nodes + 1)
         # node N, the outside and the exit, sorts last
         by = by[:by.size - count[n_nodes]]

@@ -7,10 +7,11 @@ Run from the repository root as
 It writes the scenario text of each entry of ``SCENARIOS``, runs each case
 of ``CASES`` on its scenario through click's ``CliRunner``, and writes the
 case's stdout to ``<case>.json``. ``manifest.json`` records every case
-(scenario file, arguments, exit code, output file) and the numpy version
-that produced the outputs. ``tests/test_golden.py`` reruns every case and
-compares its stdout with the file byte for byte, or at 1e-12 relative under
-another numpy version. A change that moves a golden output on purpose
+(scenario file, arguments, exit code, output file), the numpy version that
+produced the outputs and the CPU features its kernels dispatched on.
+``tests/test_golden.py`` reruns every case and compares its stdout with the
+file byte for byte, or at 1e-12 relative under another numpy version or
+another set of CPU features. A change that moves a golden output on purpose
 reruns this script and states what moved, and the largest relative change.
 """
 
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from deadlinenet import SimConfig, cli
+from deadlinenet import SimConfig, bundled_scenario_path, cli
 from deadlinenet.config import OutputOptions, ScenarioConfig
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
@@ -31,9 +32,22 @@ MIXED8 = ["--horizon", "100", "--warmup", "10", "--seed", "5",
           "--format", "json"]
 
 
+def cpu_features():
+    """The sorted names of the CPU features numpy enables in this process,
+    or None when numpy does not say. Its vectorised log1p and power, and
+    its unstable sorts, pick their kernels by these features (the
+    ``NPY_DISABLE_CPU_FEATURES`` environment variable removes some), so
+    the last bits of a simulated value may depend on them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return None
+    return sorted(name for name, enabled in __cpu_features__.items()
+                  if enabled)
+
+
 def _bundled(generator: str) -> str:
-    text = (Path(cli.__file__).with_name("data")
-            / "two_node_deadline.cfg").read_text()
+    text = bundled_scenario_path().read_text()
     return text.replace("generator = pcg64", f"generator = {generator}")
 
 
@@ -109,7 +123,8 @@ def main() -> None:
         cases.append({"name": name, "scenario": scenario, "args": args,
                       "exit_code": code, "output": output})
         print(f"{output}: exit {code}, {len(stdout)} bytes")
-    manifest = {"numpy": np.__version__, "cases": cases}
+    manifest = {"numpy": np.__version__, "cpu_features": cpu_features(),
+                "cases": cases}
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 

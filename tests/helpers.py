@@ -1,7 +1,8 @@
 """Shared test utilities: the single-race statistics, the canonical
-scenario text, the earlier routing-row parser as the reference for the
+scenario token of each law and scenario text, the earlier routing-row parser as the reference for the
 one-pass one, the earlier simulator routing table as the reference for
-the one built from route_tensor, an independent Monte Carlo oracle for minimum
+the one built from route_tensor, a move-by-move walk as the reference for
+the simulator's sweep, an independent Monte Carlo oracle for minimum
 statistics, a single-draw inverse-transform sampler, the densities of the atomless
 laws, a reference Poisson pmf, the per-(node, component) traffic
 equations and the expanded network assembled entry by entry as references
@@ -73,6 +74,17 @@ def _render_value(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def law_token(law):
+    """Canonical scenario token of a law: a law with one parameter names
+    it, a law with several lists them in order, and one with none is
+    bare."""
+    names = law.params()
+    values = [repr(getattr(law, p)) for p in names]
+    if len(names) == 1:
+        values = [f"{names[0]}={values[0]}"]
+    return f"{law.name}({', '.join(values)})" if names else law.name
+
+
 def render_scenario(cfg):
     """Canonical text form; parse_scenario(render_scenario(cfg)) == cfg."""
     spec = cfg.network
@@ -81,7 +93,7 @@ def render_scenario(cfg):
              f"components = {spec.n_components}",
              "arrivals = " + ", ".join(repr(r) for r in spec.arrival_rates)]
     for i, node in enumerate(spec.nodes, start=1):
-        comps = ", ".join(d.token() for d in node.components)
+        comps = ", ".join(map(law_token, node.components))
         lines.append(f"node{i}.components = {comps}")
         for k, row in enumerate(node.routing, start=1):
             entries = ", ".join(f"{m}: {q!r}"
@@ -155,6 +167,33 @@ def reference_route_tables(spec):
             targets[r, j] = m
         thresholds[r, len(row):] = acc
     return thresholds, targets
+
+
+def reference_sweep(times, rows, targets, n_nodes, n_comp, warmup, horizon):
+    """{state: time held in [warmup, horizon]} of the moves (at ``times``,
+    from ``rows`` to ``targets``, in the encoding of simulate._Sweep.move)
+    walked one by one in Python's stable order of their times, from an
+    empty network: the reference for the sweep's histogram."""
+    def clip(t):
+        return min(max(t, warmup), horizon)
+
+    def hold(start, end):
+        if clip(end) > clip(start):
+            state = tuple(occ[:n_nodes])
+            hist[state] = hist.get(state, 0.0) + clip(end) - clip(start)
+
+    # the outside and the exit share the last entry
+    occ = [0] * (n_nodes + 1)
+    hist = {}
+    last = 0.0
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        hold(last, times[i])
+        last = times[i]
+        occ[rows[i] // n_comp] -= 1
+        occ[targets[i]] += 1
+        assert min(occ[:n_nodes]) >= 0, "a move out of an empty node"
+    hold(last, horizon)
+    return hist
 
 
 def random_signed_zero_network(rng, max_nodes=6, empty=False):

@@ -193,12 +193,16 @@ def test_each_exact_quantity_computed_once_per_command(runner, monkeypatch, comm
     races = count_calls(monkeypatch, deadlinenet.distributions, "_race_stats")
     exact = count_calls(monkeypatch, deadlinenet.analytic, "_product_form")
     solves = count_calls(monkeypatch, deadlinenet.analytic, "_solve_open")
+    rates = count_calls(monkeypatch, deadlinenet.analytic, "_component_rates")
     invoke(runner, command, "--format", "json")
     assert (len(checks), len(races), len(exact)) == (1, 1, 1)
     # expand adds the expanded network's solve, compare and baselines the
     # full-insensitivity one; the service-time baseline reuses the flows
     assert len(solves) == {"solve": 1, "expand": 2, "compare": 2,
                            "baselines": 2}[command]
+    # both baselines read one rate table
+    assert len(rates) == {"solve": 0, "expand": 0, "compare": 1,
+                          "baselines": 1}[command]
 
 
 def test_baselines_values(runner):

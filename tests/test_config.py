@@ -44,6 +44,13 @@ def test_bundled_scenario_is_canonical():
     assert path.read_text() == render_scenario(CANONICAL)
 
 
+def test_example_network_is_read_from_the_bundled_file():
+    example = two_node_deadline_example()
+    assert example == load_scenario(bundled_scenario_path()).network
+    # each call reads the file again: a new spec, with nothing kept on it
+    assert example is not two_node_deadline_example()
+
+
 def test_default_sections_optional():
     text = render_scenario(CANONICAL)
     network_only = text.split("\n[sim]")[0]

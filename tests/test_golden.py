@@ -9,12 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from golden_update import GOLDEN, run_case
+from golden_update import GOLDEN, cpu_features, run_case
 
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
-# the simulator's draws use numpy's vectorised log1p and power, whose last
-# bits may differ between numpy builds
-SAME_NUMPY = MANIFEST["numpy"] == np.__version__
+# the simulator's draws use numpy's vectorised log1p and power, and its
+# sweep an unstable sort, whose last bits may differ between numpy builds
+# and between the CPU features their kernels dispatch on; a set that
+# cannot be read matches nothing
+FEATURES = cpu_features()
+SAME_BUILD = (MANIFEST["numpy"] == np.__version__ and FEATURES is not None
+              and MANIFEST.get("cpu_features") == FEATURES)
 RTOL = 1e-12
 
 
@@ -51,13 +55,15 @@ def test_golden_output_is_reproduced(case):
     name = case["output"]
     assert code == case["exit_code"], f"{name}: exit {code}"
     want = (GOLDEN / name).read_text()
-    if SAME_NUMPY:
+    if SAME_BUILD:
         if stdout != want:
             where = first_difference(json.loads(want), json.loads(stdout))
             pytest.fail(f"{name} differs at {where or 'the byte level'}")
         return
-    warnings.warn(f"{name}: written under numpy {MANIFEST['numpy']}, run "
-                  f"under {np.__version__}; numbers compared at {RTOL} "
-                  f"relative, not byte for byte")
+    why = (f"written under numpy {MANIFEST['numpy']}, run under "
+           f"{np.__version__}" if MANIFEST["numpy"] != np.__version__ else
+           "numpy's CPU features differ from those that wrote it")
+    warnings.warn(f"{name}: {why}; numbers compared at {RTOL} relative, "
+                  "not byte for byte")
     where = first_difference(json.loads(want), json.loads(stdout), RTOL)
     assert where is None, f"{name} differs at {where}"

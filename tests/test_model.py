@@ -30,6 +30,7 @@ from deadlinenet.model import (
 
 from helpers import (
     decimal_closed_network,
+    law_token,
     min_probability,
     random_exponential_network,
     random_general_network,
@@ -73,7 +74,8 @@ def test_distribution_values_coerced_to_float():
 def test_law_contract(law):
     """Each law's token, inverse transform, tail time and support agree
     with its survival function."""
-    assert _parse_distribution("network", "node1.components", law.token()) == law
+    assert _parse_distribution("network", "node1.components",
+                               law_token(law)) == law
     lo, hi = law.support()
     shift, span, scale, power = law.sampling_row()
 

@@ -21,7 +21,7 @@ from deadlinenet import (
     two_node_deadline_example,
 )
 
-from deadlinenet.simulate import _route_tables
+from deadlinenet.simulate import _route_tables, _Sweep
 
 from helpers import (
     mixed_network,
@@ -29,6 +29,7 @@ from helpers import (
     random_general_network,
     random_signed_zero_network,
     reference_route_tables,
+    reference_sweep,
     rescale_spec,
 )
 
@@ -307,6 +308,83 @@ def test_moves_at_equal_times_keep_every_state_valid(spec, cfg):
         for n, x in enumerate(state):
             derived[n][x] = derived[n].get(x, 0.0) + w
     assert derived == list(res.marginal_weights)
+
+
+def _zero_length_visits(pairs=30, instants=20):
+    """Moves of a block, as the simulator records them: at each integer
+    instant one customer arrives at each node i < pairs, moves at once to
+    node pairs + i (a zero-length visit at i) and leaves half a unit
+    later. Its arrival, its hop and its exit are moves of three recorded
+    batches, which a stable sort of the times keeps in that order; numpy's
+    default sort reorders ties this many."""
+    n_nodes = 2 * pairs
+    t = np.repeat(np.arange(1.0, instants + 1.0), pairs)
+    i = np.tile(np.arange(pairs), instants)
+    return n_nodes, [(t, np.full(t.size, n_nodes), i),
+                     (t, i, pairs + i),
+                     (t + 0.5, pairs + i, np.full(t.size, n_nodes))]
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "no-joint"])
+def test_tied_moves_keep_each_customers_order(joint):
+    n_nodes, batches = _zero_length_visits()
+    cfg = SimConfig(horizon=30.0, warmup=2.0, record_joint=joint)
+    sweep = _Sweep(n_nodes, 1, cfg)
+    # in recorded order no node ever holds two customers, so no one-bit
+    # digit overflows and the joint sweep never groups its moves by node;
+    # a hop swept before its arrival would borrow from the next digit and
+    # send the sweep there
+    grouped = []
+    by_node = sweep._by_node
+
+    def counted(*moves):
+        grouped.append(moves)
+        return by_node(*moves)
+
+    sweep._by_node = counted
+    for batch in batches:
+        sweep.move(*batch)
+    marginals, states, weights, _ = sweep.finish()
+    times, rows, targets = (np.concatenate(x).tolist() for x in zip(*batches))
+    # every time is a multiple of 1/2, so every sum is exact in any order
+    want = reference_sweep(times, rows, targets, n_nodes, 1, cfg.warmup,
+                           cfg.horizon)
+    derived = [{} for _ in range(n_nodes)]
+    for state, w in want.items():
+        for n, x in enumerate(state):
+            derived[n][x] = derived[n].get(x, 0.0) + w
+    assert list(marginals) == derived
+    if joint:
+        assert dict(zip(map(tuple, states.tolist()), weights.tolist())) == want
+        assert grouped == []
+
+
+@pytest.mark.parametrize("n_nodes", [3, 300, 70_000])
+def test_moves_group_by_node_on_either_side_of_the_uint16_limit(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    sweep = _Sweep(n_nodes, 1, SimConfig(record_joint=False))
+    sweep.occ[:] = rng.integers(0, 50, n_nodes)
+    # node n_nodes is the outside for a source and the exit for a target
+    src, dst = rng.integers(0, n_nodes + 1, size=(2, 5_000))
+    by, nb, sb, after, count, seen, first = sweep._by_node(src, dst)
+    n = np.stack((src, dst), axis=1).ravel()
+    # by node, then by position: each node's events keep their time order
+    want = np.lexsort((np.arange(n.size), n))
+    want = want[n[want] < n_nodes]
+    signs = np.where(want % 2 == 1, 1, -1)
+    assert np.array_equal(by, want)
+    assert np.array_equal(nb, n[want])
+    assert np.array_equal(sb, signs)
+    # each event's node's occupancy just after it
+    running = {}
+    occupancy = []
+    for node, sign in zip(n[want].tolist(), signs.tolist()):
+        running[node] = running.get(node, int(sweep.occ[node])) + sign
+        occupancy.append(running[node])
+    assert after.tolist() == occupancy
+    assert np.array_equal(count, np.bincount(n, minlength=n_nodes + 1)[:-1])
+    assert np.array_equal(seen, np.unique(n[want]))
+    assert np.array_equal(first, np.searchsorted(n[want], seen))
 
 
 @pytest.mark.parametrize("k", [-7, 5, 20])

@@ -404,6 +404,8 @@ def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
     import deadlinenet.model
     import deadlinenet.stats
 
+    # read from the bundled file, and so validated, before counting starts
+    spec, other = two_node_deadline_example(), two_node_deadline_example()
     calls = {name: count_calls(monkeypatch, module, name)
              for module, name in [
                  (deadlinenet.distributions, "_race_stats"),
@@ -417,7 +419,6 @@ def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
     def made():
         return {name: len(log) for name, log in calls.items()}
 
-    spec = two_node_deadline_example()
     first = compare(spec, example_run)
     once = made()
     # the traffic equations and the full-insensitivity baseline are solved,
@@ -431,7 +432,7 @@ def test_repeated_compare_solves_the_spec_once(example_run, monkeypatch):
     later = [compare(spec, example_run) for _ in range(3)]
     assert made() == {**once, "empirical_marginal": 4 * 2}
     # a new spec object computes again and must agree with the kept answer
-    fresh = compare(two_node_deadline_example(), example_run)
+    fresh = compare(other, example_run)
     assert made() == {**{name: 2 * count for name, count in once.items()},
                       "empirical_marginal": 5 * 2}
     for report in (*later, fresh):
@@ -527,6 +528,7 @@ def test_compare_tolerates_baseline_rejection(monkeypatch):
                               report.marginal_distance)
         assert again.product_form_sup == report.product_form_sup
     assert len(solves) == 1
+    # a rate table that raises is not kept, so each baseline computes it
     assert len(rates) == 2
 
 
